@@ -8,30 +8,47 @@ avoid S (a chord only ever involves the cycle's own vertices), so:
   * G - S is ternary  iff  S meets every chordless cycle of length
     divisible by 3.
 
-The solvers therefore scan candidate subsets of the vertices that lie on the
-relevant cycles, in increasing size and lexicographic order, testing the
-transversal condition; the winning witness is re-verified with the
-independent acyclicity/ternary predicates.  For middle-bound work the
-inclusion-minimal transversals are enumerated as complements of the maximal
-cycle-free vertex sets, via subset tables when the cycle-covered universe is
-small and a branching enumerator past that.
+Both invariants are minimum transversals (hitting sets) of a list of cycle
+vertex masks, and each transversal problem has one exact solver.
+
+Minimum transversal (phi, phi3): iterative deepening on the size k, starting
+at a greedy packing of vertex-disjoint cycles.  At each k a depth-first
+search takes the smallest vertex that lies on some cycle not yet hit, and
+tries including it before excluding it.  Vertices are decided in ascending
+order along every path, and every vertex below the current one is out of the
+set, so each node carries a packing bound: cycles that stay pairwise
+disjoint above the current vertex each need a vertex of their own, so more
+of them than the room left proves the branch empty.  A vertex skipped
+because it lies on no cycle left unhit can never be in a minimum solution
+(dropping it would leave a smaller transversal), so skipping it loses no
+optimum; the search is then an include-first walk over an ascending decision
+order, whose first hit among sets of one size is the lexicographically
+smallest.  No smaller size has a solution, so that first hit is the
+lexicographically smallest minimum transversal.
+
+Minimal transversals (middle bound): MMCS (Murakami and Uno, "Efficient
+algorithms for dualizing large-scale hypergraphs", DAM 2014).  It grows a set
+one vertex at a time, keeps for every chosen vertex the bitset of cycles that
+only it hits (``crit``) and the bitset of cycles nothing hits yet
+(``uncov``), branches on the vertices of one unhit cycle, and abandons a
+branch as soon as some chosen vertex loses its last private cycle.  Every
+emitted set is therefore minimal, and each minimal set is emitted once.
+
+Every minimum transversal is minimal, so the list of minimal ternary
+transversals sorted by (size, vertex tuple) starts with the
+lexicographically smallest minimum one: phi3 and its witness are its head.
+Witnesses are re-verified with the independent acyclicity/ternary
+predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable
-
-import numpy as np
 
 from .budget import Budget, ensure_budget
 from .cycles import _chordless_iter, is_ternary
 from .graph import Graph, bits, iter_bits, mask_of
-from .indpoly import independent_set_count
-
-_TABLE_LIMIT = 18  # build 2^u subset tables up to this universe size
-_NUMPY_LIMIT = 8  # pure-python tables below this, vectorized above
+from .indpoly import _IntEngine, independent_set_count
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,11 @@ def cyclomatic_number(g: Graph) -> int:
 # -- transversal machinery -----------------------------------------------------
 
 
+def _labeled(g: Graph, mask: int) -> tuple[int, ...]:
+    """The vertices of ``mask`` in the caller's labels, ascending."""
+    return tuple(g.labels[v] for v in iter_bits(mask))
+
+
 def _cycle_masks(g: Graph, budget: Budget) -> tuple[list[int], list[int]]:
     """Vertex masks of all chordless cycles, and of those with length % 3 == 0.
 
@@ -71,106 +93,61 @@ def _cycle_masks(g: Graph, budget: Budget) -> tuple[list[int], list[int]]:
     return all_masks, tern_masks
 
 
-def _compress(universe: int) -> tuple[list[int], dict[int, int]]:
-    verts = list(iter_bits(universe))
-    return verts, {v: i for i, v in enumerate(verts)}
-
-
-def _superset_table(masks: list[int], index: dict[int, int], u: int) -> "np.ndarray | bytearray":
-    """Table over subsets of the compressed universe: entry S is truthy when
-    some cycle mask is contained in S."""
-    size = 1 << u
-    seeds = []
-    for m in masks:
-        c = 0
+def _incidence(masks: list[int]) -> list[int]:
+    """``on[v]``: bitset of the indices of the masks that contain vertex v."""
+    on = [0] * max((m.bit_length() for m in masks), default=0)
+    for i, m in enumerate(masks):
         for v in iter_bits(m):
-            c |= 1 << index[v]
-        seeds.append(c)
-    if u >= _NUMPY_LIMIT:
-        table = np.zeros(size, dtype=bool)
-        table[seeds] = True
-        for i in range(u):
-            view = table.reshape(-1, 2, 1 << i)
-            view[:, 1, :] |= view[:, 0, :]
-        return table
-    table = bytearray(size)
-    for c in seeds:
-        table[c] = 1
-    for i in range(u):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit and table[s ^ bit]:
-                table[s] = 1
-    return table
+            on[v] |= 1 << i
+    return on
 
 
-def _min_transversal(
-    masks: list[int], budget: Budget
-) -> tuple[int, int]:
+def _min_transversal(masks: list[int], budget: Budget) -> tuple[int, int]:
     """Smallest vertex set meeting every mask: (size, witness mask).
 
     The witness is lexicographically smallest among minimum solutions.
     """
     if not masks:
         return 0, 0
-    universe = 0
-    for m in masks:
-        universe |= m
-    verts, index = _compress(universe)
-    u = len(verts)
-    if u <= _TABLE_LIMIT:
-        table = _superset_table(masks, index, u)
-        full = (1 << u) - 1
-        for k in range(u + 1):
-            for combo in combinations(range(u), k):
-                budget.spend()
-                free = full
-                for i in combo:
-                    free ^= 1 << i
-                if not table[free]:
-                    return k, mask_of(verts[i] for i in combo)
-        raise AssertionError("full universe is always a transversal")
-    size, witness = _branch_min_transversal(masks, budget)
-    # Lexicographic tie-break once the optimum size is known.
-    for combo in combinations(verts, size):
+    # Short cycles first: the greedy packing then tends to find more of them.
+    masks = sorted(masks, key=int.bit_count)
+    on = _incidence(masks)
+
+    def packing(uncov: int, avail: int) -> int:
+        """Greedy count of unhit masks pairwise disjoint within ``avail``;
+        more than any room when some unhit mask has no vertex there."""
+        used = 0
+        count = 0
+        for i in iter_bits(uncov):
+            m = masks[i] & avail
+            if not m:
+                return len(masks) + 1
+            if not m & used:
+                used |= m
+                count += 1
+        return count
+
+    def search(low: int, chosen: int, uncov: int, room: int) -> "int | None":
         budget.spend()
-        m = mask_of(combo)
-        if all(m & cm for cm in masks):
-            return size, m
-    return size, witness
+        if not uncov:
+            return chosen
+        if packing(uncov, -1 << low) > room:
+            return None
+        v = low
+        while not on[v] & uncov:
+            v += 1
+        found = search(v + 1, chosen | 1 << v, uncov & ~on[v], room - 1)
+        if found is None:
+            found = search(v + 1, chosen, uncov, room)
+        return found
 
-
-def _branch_min_transversal(masks: list[int], budget: Budget) -> tuple[int, int]:
-    """Branch and bound on the first unhit cycle mask."""
-    best_size = len(masks) + 1
-    best_mask = 0
-    # Greedy warm start: repeatedly take the vertex hitting the most masks.
-    chosen = 0
-    left = list(masks)
-    while left:
-        counts: dict[int, int] = {}
-        for m in left:
-            for v in iter_bits(m):
-                counts[v] = counts.get(v, 0) + 1
-        v = max(counts, key=lambda w: (counts[w], -w))
-        chosen |= 1 << v
-        left = [m for m in left if not m & chosen]
-    best_size, best_mask = chosen.bit_count(), chosen
-
-    def rec(chosen_mask: int, count: int) -> None:
-        nonlocal best_size, best_mask
-        budget.spend()
-        if count >= best_size:
-            return
-        first = next((m for m in masks if not m & chosen_mask), None)
-        if first is None:
-            best_size, best_mask = count, chosen_mask
-            return
-        for v in iter_bits(first):
-            rec(chosen_mask | 1 << v, count + 1)
-
-    rec(0, 0)
-    return best_size, best_mask
+    everything = (1 << len(masks)) - 1
+    k = packing(everything, -1)
+    while True:
+        found = search(0, 0, everything, k)
+        if found is not None:
+            return k, found
+        k += 1
 
 
 def _minimal_transversal_masks(
@@ -178,121 +155,64 @@ def _minimal_transversal_masks(
     budget: Budget,
     cap: "int | None" = None,
 ) -> tuple[list[int], bool]:
-    """All inclusion-minimal transversals, sorted by (size, vertex tuple)."""
-    if not masks:
-        return [0], False
+    """All inclusion-minimal transversals, sorted by (size, vertex tuple).
+
+    With a ``cap``, the search stops once it has found ``cap + 1`` sets and
+    reports ``truncated``; the smallest ``cap`` of the sets found are kept.
+    """
+    on = _incidence(masks)
+    found: list[int] = []
+
+    def mmcs(chosen: int, cand: int, crit: dict[int, int], uncov: int) -> bool:
+        """Extend ``chosen`` by vertices of ``cand``; True once the cap is passed."""
+        budget.spend()
+        if not uncov:
+            found.append(chosen)
+            return cap is not None and len(found) > cap
+        # Branch on the unhit cycle with the fewest candidate vertices.
+        branch = cand
+        for i in iter_bits(uncov):
+            c = masks[i] & cand
+            if c.bit_count() < branch.bit_count():
+                branch = c
+        cand &= ~branch
+        for v in iter_bits(branch):
+            hit = on[v]
+            kept = {u: c & ~hit for u, c in crit.items()}
+            if all(kept.values()):
+                kept[v] = uncov & hit
+                if mmcs(chosen | 1 << v, cand, kept, uncov & ~hit):
+                    return True
+            cand |= 1 << v
+        return False
+
     universe = 0
     for m in masks:
         universe |= m
-    verts, index = _compress(universe)
-    u = len(verts)
-    out: list[int] = []
-    truncated = False
-    if u <= _TABLE_LIMIT:
-        table = _superset_table(masks, index, u)
-        full = (1 << u) - 1
-        # Minimal transversals are complements (in the universe) of the
-        # maximal cycle-free subsets.
-        if isinstance(table, bytearray):
-            for w in range(full + 1):
-                budget.spend()
-                if table[w]:
-                    continue
-                missing = full ^ w
-                if all(table[w | 1 << i] for i in iter_bits(missing)):
-                    out.append(missing)
-        else:
-            ok = ~table
-            for i in range(u):
-                view_ok = ok.reshape(-1, 2, 1 << i)
-                view_bad = table.reshape(-1, 2, 1 << i)
-                view_ok[:, 0, :] &= view_bad[:, 1, :]
-            for w in np.nonzero(ok)[0]:
-                out.append(full ^ int(w))
-        out = [_decompress(m, verts) for m in out]
-    else:
-        seen: list[int] = []
-
-        def emit(mask: int) -> bool:
-            seen.append(mask)
-            return cap is not None and len(seen) >= cap
-
-        truncated = _branch_minimal(masks, budget, emit)
-        out = seen
-    out.sort(key=lambda m: (m.bit_count(), bits(m)))
-    if cap is not None and len(out) > cap:
-        out = out[:cap]
-        truncated = True
-    return out, truncated
+    truncated = mmcs(0, universe, {}, (1 << len(masks)) - 1)
+    found.sort(key=lambda m: (m.bit_count(), bits(m)))
+    return (found[:cap] if truncated else found), truncated
 
 
-def _decompress(cmask: int, verts: list[int]) -> int:
-    m = 0
-    for i in iter_bits(cmask):
-        m |= 1 << verts[i]
-    return m
+def _least_count(g: Graph, candidates: list[int], budget: Budget) -> tuple[int, int]:
+    """Fewest independent sets of G[D] over the candidate masks D, and the
+    first D attaining it.
 
-
-def _branch_minimal(
-    masks: list[int], budget: Budget, emit: Callable[[int], bool]
-) -> bool:
-    """Enumerate minimal transversals by branching on the first unhit mask.
-
-    Branch v forbids the vertices tried before v within that mask, which
-    yields every minimal transversal exactly once; non-minimal hitting sets
-    can still surface and are filtered with the private-cycle test.
+    One engine serves every candidate: its memo is keyed by component masks
+    of g, which mean the same subgraph whichever candidate reached them.
     """
-    stop = False
-
-    def is_minimal(chosen: int) -> bool:
-        for v in iter_bits(chosen):
-            vbit = 1 << v
-            if not any((m & chosen) == vbit for m in masks):
-                return False
-        return True
-
-    def rec(chosen: int, banned: int) -> None:
-        nonlocal stop
-        if stop:
-            return
+    engine = _IntEngine(g.adj, 1, budget)
+    best = None
+    best_mask = 0
+    for m in candidates:
         budget.spend()
-        first = next((m for m in masks if not m & chosen), None)
-        if first is None:
-            if is_minimal(chosen) and emit(chosen):
-                stop = True
-            return
-        tried = 0
-        for v in iter_bits(first & ~banned):
-            rec(chosen | 1 << v, banned | tried)
-            tried |= 1 << v
-            if stop:
-                return
-
-    rec(0, 0)
-    return stop
-
-
-def _count_independent(adj: tuple[int, ...], mask: int) -> int:
-    """Number of independent sets inside the induced subgraph on ``mask``."""
-    verts = list(iter_bits(mask))
-    d = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        row = 0
-        for ub in iter_bits(adj[v] & mask):
-            row |= 1 << index[ub]
-        rows.append(row)
-    count = 1  # the empty set
-    indep = bytearray(1 << d)
-    indep[0] = 1
-    for sub in range(1, 1 << d):
-        low = sub & -sub
-        rest = sub ^ low
-        if indep[rest] and not rows[low.bit_length() - 1] & rest:
-            indep[sub] = 1
-            count += 1
-    return count
+        count = engine.eval_mask(m)
+        if best is None or count < best:
+            best, best_mask = count, m
+    # Cross-check the winner on the relabeled induced subgraph.
+    if independent_set_count(g.induced_subgraph(best_mask), budget=budget) != best:
+        raise AssertionError("independent-set count mismatch on the middle witness")
+    return best, best_mask
 
 
 # -- public operations -----------------------------------------------------------
@@ -305,7 +225,7 @@ def min_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[
     size, witness = _min_transversal(all_masks, budget)
     if not g.delete_vertices(witness).is_acyclic():
         raise AssertionError("decycling witness failed the acyclicity re-check")
-    return size, tuple(g.labels[v] for v in iter_bits(witness))
+    return size, _labeled(g, witness)
 
 
 def min_ternary_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
@@ -315,7 +235,7 @@ def min_ternary_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int
     size, witness = _min_transversal(tern_masks, budget)
     if not is_ternary(g.delete_vertices(witness), budget=budget):
         raise AssertionError("ternary decycling witness failed the ternary re-check")
-    return size, tuple(g.labels[v] for v in iter_bits(witness))
+    return size, _labeled(g, witness)
 
 
 def minimal_ternary_decycling_sets(
@@ -325,9 +245,10 @@ def minimal_ternary_decycling_sets(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """All inclusion-minimal ternary decycling sets, up to ``cap``.
 
-    Returns ``(sets, truncated)``; a truncated list must not be used to claim
-    global minima.  Every returned set is verified to meet each cycle of
-    length divisible by 3 and to be minimal with that property.
+    Returns ``(sets, truncated)``; ``truncated`` is set only when more than
+    ``cap`` sets exist, and a truncated list must not be used to claim global
+    minima.  Every returned set is verified to meet each cycle of length
+    divisible by 3.
     """
     budget = ensure_budget(budget)
     _, tern_masks = _cycle_masks(g, budget)
@@ -335,7 +256,7 @@ def minimal_ternary_decycling_sets(
     for m in out:
         if any(not m & cm for cm in tern_masks):
             raise AssertionError("emitted set misses a cycle")
-    return [tuple(g.labels[v] for v in iter_bits(m)) for m in out], truncated
+    return [_labeled(g, m) for m in out], truncated
 
 
 def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
@@ -347,23 +268,9 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
     """
     budget = ensure_budget(budget)
     _, tern_masks = _cycle_masks(g, budget)
-    if not tern_masks:
-        return 1, ()
-    candidates, truncated = _minimal_transversal_masks(tern_masks, budget, cap=None)
-    if truncated:
-        raise AssertionError("uncapped enumeration reported truncation")
-    best = None
-    best_mask = 0
-    for m in candidates:
-        budget.spend()
-        count = _count_independent(g.adj, m)
-        if best is None or count < best:
-            best, best_mask = count, m
-    # Cross-check the winner against the independent engine.
-    engine_count = independent_set_count(g.induced_subgraph(best_mask), budget=budget)
-    if engine_count != best:
-        raise AssertionError("independent-set count mismatch on the middle witness")
-    return best, tuple(g.labels[v] for v in iter_bits(best_mask))
+    candidates, _ = _minimal_transversal_masks(tern_masks, budget)
+    best, best_mask = _least_count(g, candidates, budget)
+    return best, _labeled(g, best_mask)
 
 
 def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResult:
@@ -375,30 +282,19 @@ def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResu
     if not g.delete_vertices(phi_mask).is_acyclic():
         raise AssertionError("decycling witness failed the acyclicity re-check")
 
-    phi3, phi3_mask = _min_transversal(tern_masks, budget)
+    candidates, _ = _minimal_transversal_masks(tern_masks, budget)
+    phi3_mask = candidates[0]
     if not is_ternary(g.delete_vertices(phi3_mask), budget=budget):
         raise AssertionError("ternary decycling witness failed the ternary re-check")
 
-    if not tern_masks:
-        mid, mid_witness = 1, ()
-    else:
-        candidates, _ = _minimal_transversal_masks(tern_masks, budget, cap=None)
-        best = None
-        best_mask = 0
-        for m in candidates:
-            budget.spend()
-            count = _count_independent(g.adj, m)
-            if best is None or count < best:
-                best, best_mask = count, m
-        mid = best
-        mid_witness = tuple(g.labels[v] for v in iter_bits(best_mask))
+    mid, mid_mask = _least_count(g, candidates, budget)
 
     return DecyclingResult(
         phi=phi,
-        phi_witness=tuple(g.labels[v] for v in iter_bits(phi_mask)),
-        phi3=phi3,
-        phi3_witness=tuple(g.labels[v] for v in iter_bits(phi3_mask)),
+        phi_witness=_labeled(g, phi_mask),
+        phi3=phi3_mask.bit_count(),
+        phi3_witness=_labeled(g, phi3_mask),
         nu=cyclomatic_number(g),
         middle_bound=mid,
-        middle_witness=mid_witness,
+        middle_witness=_labeled(g, mid_mask),
     )

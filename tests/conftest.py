@@ -154,8 +154,38 @@ def brute_minimal_ternary_decycling_sets(g: Graph) -> set[frozenset[int]]:
     }
 
 
-def brute_middle_bound(g: Graph) -> int:
-    return min(
-        brute_count(g.induced_subgraph(subset))
-        for subset in brute_ternary_decycling_sets(g)
+def brute_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(min count, argmin): the first ternary decycling set, in size-then-
+    lexicographic order, with the fewest independent sets."""
+    witness = min(
+        brute_ternary_decycling_sets(g),
+        key=lambda subset: brute_count(g.induced_subgraph(subset)),
     )
+    return brute_count(g.induced_subgraph(witness)), witness
+
+
+# -- transversal oracles over explicit cycle vertex sets --------------------------
+
+
+def combinations_min_transversal(cycles) -> tuple[int, tuple[int, ...]]:
+    """Fewest vertices meeting every cycle, lexicographically first among
+    those, by scanning subsets of the cycles' union in size-then-lex order."""
+    sets = [frozenset(c) for c in cycles]
+    universe = sorted(set().union(*sets))
+    for k in range(len(universe) + 1):
+        for subset in combinations(universe, k):
+            if all(not s.isdisjoint(subset) for s in sets):
+                return k, subset
+    raise AssertionError("unreachable: the whole universe meets every cycle")
+
+
+def berge_minimal_transversals(cycles) -> set[frozenset[int]]:
+    """Inclusion-minimal sets meeting every cycle, by Berge's sequential
+    dualization: add one cycle at a time, extend each transversal that
+    misses it by one of its vertices, and keep the minimal results."""
+    found = {frozenset()}
+    for cycle in cycles:
+        grown = {t if not t.isdisjoint(cycle) else t | {v}
+                 for t in found for v in cycle}
+        found = {t for t in grown if not any(o < t for o in grown)}
+    return found

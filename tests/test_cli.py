@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import altind
 from altind.cli import main
 from altind import cycle_graph, enumerate_labeled_graphs, to_graph6
 
@@ -160,3 +165,16 @@ def test_invalid_budget_rejected(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 2 and "positive" in err
+
+
+def test_import_loads_no_numpy():
+    # Every CLI run pays the package import, and numpy alone would be most of it.
+    src = str(Path(altind.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, altind; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"

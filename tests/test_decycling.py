@@ -7,6 +7,7 @@ from altind import (
     Budget,
     BudgetExceededError,
     Graph,
+    chordless_cycles,
     complete_graph,
     cycle_graph,
     cyclomatic_number,
@@ -23,10 +24,12 @@ from altind import (
 )
 
 from conftest import (
+    berge_minimal_transversals,
     brute_middle_bound,
     brute_min_decycling,
     brute_min_ternary_decycling,
     brute_minimal_ternary_decycling_sets,
+    combinations_min_transversal,
     graphs,
     random_graph,
 )
@@ -90,17 +93,64 @@ def test_brute_equivalence_exhaustive_small():
 
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            assert min_decycling(g)[0] == brute_min_decycling(g)[0]
-            assert min_ternary_decycling(g)[0] == brute_min_ternary_decycling(g)[0]
+            phi3 = brute_min_ternary_decycling(g)
+            assert min_decycling(g) == brute_min_decycling(g)
+            assert min_ternary_decycling(g) == phi3
+            res = decycling_summary(g)
+            assert (res.phi3, res.phi3_witness) == phi3
 
 
 def test_brute_equivalence_random_n7():
     rng = random.Random(4242)
     for _ in range(60):
         g = random_graph(rng, 7)
-        assert min_decycling(g)[0] == brute_min_decycling(g)[0]
-        assert min_ternary_decycling(g)[0] == brute_min_ternary_decycling(g)[0]
-        assert middle_bound(g)[0] == brute_middle_bound(g)
+        phi3 = brute_min_ternary_decycling(g)
+        middle = brute_middle_bound(g)
+        assert min_decycling(g) == brute_min_decycling(g)
+        assert min_ternary_decycling(g) == phi3
+        assert middle_bound(g) == middle
+        res = decycling_summary(g)
+        assert (res.phi3, res.phi3_witness) == phi3
+        assert (res.middle_bound, res.middle_witness) == middle
+
+
+SEVEN_TRIANGLES = Graph.from_edges(
+    21, [e for t in range(0, 21, 3) for e in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
+)
+
+
+def test_seven_disjoint_triangles_closed_forms():
+    # u = 21 vertices on cycles: one vertex per triangle, 3^7 ways.
+    first = tuple(range(0, 21, 3))
+    assert min_decycling(SEVEN_TRIANGLES) == (7, first)
+    assert min_ternary_decycling(SEVEN_TRIANGLES) == (7, first)
+    sets, truncated = minimal_ternary_decycling_sets(SEVEN_TRIANGLES)
+    assert not truncated and len(sets) == 3 ** 7 and sets[0] == first
+    res = decycling_summary(SEVEN_TRIANGLES)
+    assert (res.phi3, res.phi3_witness) == (7, first)
+    assert (res.middle_bound, res.middle_witness) == (2 ** 7, first)
+
+
+def test_truncated_only_past_the_cap():
+    sets, truncated = minimal_ternary_decycling_sets(SEVEN_TRIANGLES, cap=3 ** 7)
+    assert not truncated and len(sets) == 3 ** 7
+    sets, truncated = minimal_ternary_decycling_sets(SEVEN_TRIANGLES, cap=3 ** 7 - 1)
+    assert truncated and len(sets) == 3 ** 7 - 1
+    sets, truncated = minimal_ternary_decycling_sets(cycle_graph(6), cap=6)
+    assert not truncated and sets == [(v,) for v in range(6)]
+
+
+def test_large_universe_matches_subset_oracles():
+    g = random_graph(random.Random(1), 20, 0.25)
+    cycles = chordless_cycles(g).chordless_cycles
+    tern = [c for c in cycles if len(c) % 3 == 0]
+    assert len(set().union(*tern)) > 18
+    assert min_decycling(g) == combinations_min_transversal(cycles)
+    assert min_ternary_decycling(g) == combinations_min_transversal(tern)
+    sets, truncated = minimal_ternary_decycling_sets(g)
+    assert not truncated
+    assert {frozenset(s) for s in sets} == berge_minimal_transversals(tern)
+    assert sets == sorted(sets, key=lambda s: (len(s), s))
 
 
 @given(graphs(max_n=7))
