@@ -10,6 +10,18 @@ For each input graph the verifier evaluates, with exact integers:
                          decycling sets D,
   * chain_upper:         that minimum is <= 2^phi3.
 
+The chordless cycles are enumerated once per graph, into a census the
+solvers share.  Five stages run, each under its own fresh budget of
+``budget_limit`` expansions; one that exhausts it marks only the checks that
+read it "not evaluated":
+
+  * alternating number:  every check but chain_upper,
+  * cycle census:        every check but cyclomatic_bound,
+  * phi solve:           decycling_bound,
+  * ternary half:        chain_lower and chain_upper (minimal ternary
+                         decycling sets, phi3 as their head, middle bound),
+  * simple-cycle walk:   cyclomatic_bound.
+
 Hypothesis failure marks a check not applicable, never unsatisfied; a budget
 failure downgrades it to "not evaluated" with the reason recorded.  A
 satisfied=False anywhere signals either an implementation bug or a
@@ -23,8 +35,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
-from .cycles import has_cycle_length_not_div3, is_ternary
-from .decycling import DecyclingResult, cyclomatic_number, decycling_summary
+from .cycles import cycle_census, has_cycle_length_not_div3
+from .decycling import _phi_half, _ternary_half, cyclomatic_number
 from .graph import Graph
 from .graph6 import iter_graph6
 from .indpoly import alternating_number
@@ -71,42 +83,30 @@ def verify_graph(
     graph6_text: str = "",
     budget_limit: "int | None" = None,
 ) -> BoundsReport:
-    """Evaluate every bound in scope on one graph.
-
-    Each sub-computation runs under its own fresh expansion budget so one
-    blown check cannot poison the others.
-    """
+    """Evaluate every bound in scope on one graph, each stage under its own
+    budget of ``budget_limit`` expansions (see the module docstring)."""
     limit = budget_limit if budget_limit is not None else DEFAULT_EXPANSIONS
-    checks: dict[str, CheckResult] = {}
 
-    alt_error = None
-    alternating = None
-    try:
-        alternating = alternating_number(g, Budget(limit))
-    except BudgetExceededError as exc:
-        alt_error = f"alternating number not evaluated: {exc}"
+    def attempt(stage: str, fn, *args):
+        """``(fn(*args, budget), None)``, or ``(None, reason)`` when the
+        stage exhausts its budget."""
+        try:
+            return fn(*args, Budget(limit)), None
+        except BudgetExceededError as exc:
+            return None, f"{stage} not evaluated: {exc}"
+
+    alternating, alt_error = attempt("alternating number", alternating_number, g)
     magnitude = None if alternating is None else abs(alternating)
-
-    ternary = None
-    ternary_error = None
-    try:
-        ternary = is_ternary(g, Budget(limit))
-    except BudgetExceededError as exc:
-        ternary_error = f"ternary test not evaluated: {exc}"
-
-    summary: "DecyclingResult | None" = None
-    summary_error = None
-    try:
-        summary = decycling_summary(g, Budget(limit))
-    except BudgetExceededError as exc:
-        summary_error = f"decycling invariants not evaluated: {exc}"
-
-    not_div3 = None
-    not_div3_error = None
-    try:
-        not_div3 = has_cycle_length_not_div3(g, Budget(limit))
-    except BudgetExceededError as exc:
-        not_div3_error = f"cycle-length hypothesis not evaluated: {exc}"
+    census, census_error = attempt("cycle census", cycle_census, g)
+    phi_error = ternary_error = census_error
+    if census is not None:
+        phi_half, phi_error = attempt("decycling number", _phi_half, g, census)
+        ternary_half, ternary_error = attempt(
+            "ternary decycling invariants", _ternary_half, g, census
+        )
+    not_div3, not_div3_error = attempt(
+        "cycle-length hypothesis", has_cycle_length_not_div3, g
+    )
 
     def bounded(applicable: bool, bound: int, value: "int | None") -> CheckResult:
         if not applicable:
@@ -120,15 +120,16 @@ def verify_graph(
             slack=bound - value,
         )
 
-    if ternary_error:
-        checks["ternary_unit_bound"] = _not_evaluated(ternary_error)
+    checks: dict[str, CheckResult] = {}
+    if census_error:
+        checks["ternary_unit_bound"] = _not_evaluated(census_error)
     else:
-        checks["ternary_unit_bound"] = bounded(ternary, 1, magnitude)
+        checks["ternary_unit_bound"] = bounded(not census.ternary, 1, magnitude)
 
-    if summary_error:
-        checks["decycling_bound"] = _not_evaluated(summary_error)
+    if phi_error:
+        checks["decycling_bound"] = _not_evaluated(phi_error)
     else:
-        checks["decycling_bound"] = bounded(True, 1 << summary.phi, magnitude)
+        checks["decycling_bound"] = bounded(True, 1 << phi_half[0], magnitude)
 
     if not_div3_error:
         checks["cyclomatic_bound"] = _not_evaluated(not_div3_error)
@@ -136,13 +137,14 @@ def verify_graph(
         nu = cyclomatic_number(g)
         checks["cyclomatic_bound"] = bounded(not_div3, (1 << nu) - nu, magnitude)
 
-    if summary_error:
-        checks["chain_lower"] = _not_evaluated(summary_error)
-        checks["chain_upper"] = _not_evaluated(summary_error)
+    if ternary_error:
+        checks["chain_lower"] = _not_evaluated(ternary_error)
+        checks["chain_upper"] = _not_evaluated(ternary_error)
     else:
-        checks["chain_lower"] = bounded(True, summary.middle_bound, magnitude)
+        phi3_mask, middle, _ = ternary_half
+        checks["chain_lower"] = bounded(True, middle, magnitude)
         # The upper link bounds the middle quantity itself, not |I|.
-        checks["chain_upper"] = bounded(True, 1 << summary.phi3, summary.middle_bound)
+        checks["chain_upper"] = bounded(True, 1 << phi3_mask.bit_count(), middle)
 
     return BoundsReport(
         index=index,
@@ -211,16 +213,38 @@ def summarize(reports: list[BoundsReport], parse_errors: "list | None" = None) -
     }
 
 
-def _verify_worker(args) -> BoundsReport:
-    index, text, graph, budget_limit = args
-    return verify_graph(graph, index=index, graph6_text=text, budget_limit=budget_limit)
+def parse_corpus(
+    lines: Iterable[str], fail_fast: bool = False
+) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str, str]]]:
+    """Split a graph6 stream into ``(lineno, text, graph)`` triples and
+    ``(lineno, text, message)`` parse errors; ``fail_fast`` stops at the
+    first error."""
+    graphs: list[tuple[int, str, Graph]] = []
+    errors: list[tuple[int, str, str]] = []
+    for lineno, text, graph, error in iter_graph6(lines):
+        if error is not None:
+            errors.append((lineno, text, error))
+            if fail_fast:
+                break
+            continue
+        graphs.append((lineno, text, graph))
+    return graphs, errors
+
+
+def map_ordered(worker, payload: list[tuple], jobs: int) -> list:
+    """``[worker(*args) for args in payload]``, over ``jobs`` processes when
+    more than one, with results in input order for any job count."""
+    if jobs > 1 and len(payload) > 1:
+        chunk = max(1, len(payload) // (jobs * 8))
+        with multiprocessing.Pool(processes=jobs) as pool:
+            return pool.starmap(worker, payload, chunksize=chunk)
+    return [worker(*args) for args in payload]
 
 
 def run_corpus(
     lines: Iterable[str],
     jobs: int = 1,
     budget_limit: "int | None" = None,
-    max_n: int = 62,
     fail_fast: bool = False,
 ) -> tuple[list[BoundsReport], list[tuple[int, str, str]], dict]:
     """Verify a graph6 stream.
@@ -230,21 +254,7 @@ def run_corpus(
     byte-identical for any job count.  Returns (reports, parse_errors,
     summary) where parse errors are (lineno, text, message) triples.
     """
-    payload = []
-    parse_errors: list[tuple[int, str, str]] = []
-    for lineno, text, graph, error in iter_graph6(lines, max_n=max_n):
-        if error is not None:
-            parse_errors.append((lineno, text, error))
-            if fail_fast:
-                break
-            continue
-        payload.append((lineno, text, graph, budget_limit))
-
-    if jobs > 1 and len(payload) > 1:
-        chunk = max(1, len(payload) // (jobs * 8))
-        with multiprocessing.Pool(processes=jobs) as pool:
-            reports = list(pool.imap(_verify_worker, payload, chunksize=chunk))
-    else:
-        reports = [_verify_worker(item) for item in payload]
-
+    graphs, parse_errors = parse_corpus(lines, fail_fast)
+    payload = [(graph, lineno, text, budget_limit) for lineno, text, graph in graphs]
+    reports = map_ordered(verify_graph, payload, jobs)
     return reports, parse_errors, summarize(reports, parse_errors)

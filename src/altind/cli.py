@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
-import multiprocessing
 import sys
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
-from .bounds import CHECK_NAMES, report_to_dict, run_corpus
+from .bounds import CHECK_NAMES, map_ordered, parse_corpus, report_to_dict, run_corpus
 from .constructions import ConstructionError, realize
-from .cycles import DEFAULT_CYCLE_CAP, is_ternary
+from .cycles import cycle_census
 from .decycling import cyclomatic_number, decycling_summary
-from .graph6 import enumerate_labeled_graphs, iter_graph6, to_graph6
+from .graph import Graph
+from .graph6 import enumerate_labeled_graphs, to_graph6
 from .indpoly import alternating_number, independent_set_count, oracle_polynomial
 
 EXIT_OK = 0
@@ -33,28 +35,36 @@ ENUMERATE_MAX_N = 6
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: one subcommand plus the shared budgets and knobs."""
+    """Parsed invocation: one subcommand plus the flags it reads; flags a
+    subcommand does not take keep their defaults."""
 
     command: str
     input: str = "-"
     fmt: str = "json"
     budget_expansions: int = DEFAULT_EXPANSIONS
-    cycle_cap: int = DEFAULT_CYCLE_CAP
     density_k: int = 3
     strict: bool = False
     jobs: int = 1
     fail_fast: bool = False
 
     def __post_init__(self):
-        if self.budget_expansions <= 0 or self.cycle_cap <= 0 or self.jobs <= 0:
+        if self.budget_expansions <= 0 or self.jobs <= 0:
             raise ValueError("budgets and job counts must be positive")
 
 
 def _read_lines(path: str) -> list[str]:
+    """Lines of a file, or of stdin for ``-``, decoded the same way for both.
+
+    Bytes outside ASCII survive as lone surrogates, so the graph6 parser
+    reports them against their line instead of the read failing.
+    """
     if path == "-":
-        return sys.stdin.readlines()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.readlines()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    return text.readlines()
 
 
 def _emit_json(out, record: dict) -> None:
@@ -94,8 +104,7 @@ _ANALYZE_FIELDS = (
 )
 
 
-def _analyze_worker(args) -> dict:
-    index, text, graph, limit = args
+def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
     record: dict = {
         "index": index,
         "graph6": text,
@@ -105,10 +114,11 @@ def _analyze_worker(args) -> dict:
         "nu": cyclomatic_number(graph),
     }
     try:
-        record["ternary"] = is_ternary(graph, Budget(limit))
+        census = cycle_census(graph, Budget(limit))
+        record["ternary"] = not census.ternary
         record["alternating"] = alternating_number(graph, Budget(limit))
         record["independent_sets"] = independent_set_count(graph, Budget(limit))
-        summary = decycling_summary(graph, Budget(limit))
+        summary = decycling_summary(graph, Budget(limit), census=census)
         record["phi"] = summary.phi
         record["phi_witness"] = list(summary.phi_witness)
         record["phi3"] = summary.phi3
@@ -123,31 +133,10 @@ def _analyze_worker(args) -> dict:
     return {key: record[key] for key in _ANALYZE_FIELDS}
 
 
-def _map_ordered(worker, payload: list, jobs: int) -> list:
-    if jobs > 1 and len(payload) > 1:
-        chunk = max(1, len(payload) // (jobs * 8))
-        with multiprocessing.Pool(processes=jobs) as pool:
-            return list(pool.imap(worker, payload, chunksize=chunk))
-    return [worker(item) for item in payload]
-
-
-def cmd_analyze(config: RunConfig, out) -> int:
-    try:
-        lines = _read_lines(config.input)
-    except OSError as exc:
-        print(f"cannot read {config.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    payload = []
-    parse_errors = []
-    for lineno, text, graph, error in iter_graph6(lines):
-        if error is not None:
-            parse_errors.append((lineno, error))
-            if config.fail_fast:
-                break
-            continue
-        payload.append((lineno, text, graph, config.budget_expansions))
-    records = _map_ordered(_analyze_worker, payload, config.jobs)
+def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
+    graphs, parse_errors = parse_corpus(lines, config.fail_fast)
+    payload = [(*item, config.budget_expansions) for item in graphs]
+    records = map_ordered(_analyze_worker, payload, config.jobs)
 
     if config.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -158,7 +147,7 @@ def cmd_analyze(config: RunConfig, out) -> int:
         for record in records:
             _emit_json(out, record)
 
-    for lineno, error in parse_errors:
+    for lineno, _text, error in parse_errors:
         print(f"line {lineno}: {error}", file=sys.stderr)
     if parse_errors:
         return EXIT_INPUT
@@ -180,13 +169,7 @@ def _flatten_check(prefix: str, check: dict) -> list[tuple[str, object]]:
     ]
 
 
-def cmd_verify(config: RunConfig, out) -> int:
-    try:
-        lines = _read_lines(config.input)
-    except OSError as exc:
-        print(f"cannot read {config.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
     reports, parse_errors, summary = run_corpus(
         lines,
         jobs=config.jobs,
@@ -296,20 +279,10 @@ def cmd_enumerate(n: int, out) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig, out) -> int:
-    try:
-        lines = _read_lines(config.input)
-    except OSError as exc:
-        print(f"cannot read {config.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    parse_errors = []
+def cmd_oracle(config: RunConfig, lines: list[str], out) -> int:
+    graphs, parse_errors = parse_corpus(lines, config.fail_fast)
     records = []
-    for lineno, text, graph, error in iter_graph6(lines):
-        if error is not None:
-            parse_errors.append((lineno, error))
-            if config.fail_fast:
-                break
-            continue
+    for lineno, text, graph in graphs:
         record = {"index": lineno, "graph6": text, "n": graph.n}
         try:
             coeffs = oracle_polynomial(graph)
@@ -333,12 +306,32 @@ def cmd_oracle(config: RunConfig, out) -> int:
     else:
         for record in records:
             _emit_json(out, record)
-    for lineno, error in parse_errors:
+    for lineno, _text, error in parse_errors:
         print(f"line {lineno}: {error}", file=sys.stderr)
     return EXIT_INPUT if parse_errors else EXIT_OK
 
 
 # -- argument parsing ------------------------------------------------------------
+
+
+_FLAGS = {
+    "--input": dict(default="-", metavar="PATH",
+                    help="graph6 input file, or - for stdin (default)"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json",
+                     help="output format (default json lines)"),
+    "--budget-expansions": dict(type=int, default=DEFAULT_EXPANSIONS, metavar="N",
+                                help="search expansion budget per check "
+                                f"(default {DEFAULT_EXPANSIONS})"),
+    "--density-k": dict(type=int, default=3, metavar="K",
+                        help="largest ternary decycling number (default 3)"),
+    "--strict": dict(action="store_true",
+                     help="treat budget-skipped checks as a failing exit (code 3)"),
+    "--jobs": dict(type=int, default=1, metavar="N",
+                   help="parallel worker processes (default 1)"),
+    "--fail-fast": dict(action="store_true",
+                        help="stop at the first malformed input line"),
+}
+_CORPUS_FLAGS = ("--input", "--format", "--budget-expansions", "--strict", "--jobs", "--fail-fast")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,34 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--input", default="-", metavar="PATH",
-                       help="graph6 input file, or - for stdin (default)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                       help="output format (default json lines)")
-        p.add_argument("--budget-expansions", type=int, default=DEFAULT_EXPANSIONS,
-                       metavar="N", help=f"search expansion budget per check "
-                       f"(default {DEFAULT_EXPANSIONS})")
-        p.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP, metavar="N",
-                       help="cap on enumerated cycle lists; predicates are exempt "
-                       f"(default {DEFAULT_CYCLE_CAP})")
-        p.add_argument("--density-k", type=int, default=3, metavar="K",
-                       help="largest ternary decycling number for generate (default 3)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat budget-skipped checks as a failing exit (code 3)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel worker processes (default 1)")
-        p.add_argument("--fail-fast", action="store_true",
-                       help="stop at the first malformed input line")
+    def add_flags(p, names):
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
     p_analyze = sub.add_parser("analyze", help="per-graph invariants as JSON/CSV")
-    add_common(p_analyze)
+    add_flags(p_analyze, _CORPUS_FLAGS)
 
     p_verify = sub.add_parser("verify", help="check every bound on a corpus")
-    add_common(p_verify)
+    add_flags(p_verify, _CORPUS_FLAGS)
 
     p_generate = sub.add_parser("generate", help="emit verified extremal witnesses")
-    add_common(p_generate)
+    add_flags(p_generate, ("--format", "--budget-expansions", "--density-k"))
     p_generate.add_argument("k", type=int, help="target ternary decycling number")
     p_generate.add_argument("q", type=int, nargs="?", default=None,
                             help="target alternating number (|q| <= 2^k)")
@@ -391,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enumerate.add_argument("n", type=int)
 
     p_oracle = sub.add_parser("oracle", help="brute-force polynomial for small graphs")
-    add_common(p_oracle)
+    add_flags(p_oracle, ("--input", "--format", "--fail-fast"))
 
     return parser
 
@@ -403,28 +380,13 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.command == "enumerate":
         return cmd_enumerate(args.n, sys.stdout)
 
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        config = RunConfig(
-            command=args.command,
-            input=args.input,
-            fmt=args.fmt,
-            budget_expansions=args.budget_expansions,
-            cycle_cap=args.cycle_cap,
-            density_k=args.density_k,
-            strict=args.strict,
-            jobs=args.jobs,
-            fail_fast=args.fail_fast,
-        )
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
 
-    if args.command == "analyze":
-        return cmd_analyze(config, sys.stdout)
-    if args.command == "verify":
-        return cmd_verify(config, sys.stdout)
-    if args.command == "oracle":
-        return cmd_oracle(config, sys.stdout)
     if args.command == "generate":
         if args.all == (args.q is not None):
             print("generate needs either a target q or --all", file=sys.stderr)
@@ -433,7 +395,14 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"|q| must be at most 2^k = {1 << args.k}", file=sys.stderr)
             return EXIT_INPUT
         return cmd_generate(config, args.k, args.q, args.all, args.recipe_out, sys.stdout)
-    raise AssertionError(f"unhandled command {args.command}")
+
+    try:
+        lines = _read_lines(config.input)
+    except OSError as exc:
+        print(f"cannot read {config.input}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    command = {"analyze": cmd_analyze, "verify": cmd_verify, "oracle": cmd_oracle}
+    return command[args.command](config, lines, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .budget import Budget, BudgetExceededError, ensure_budget
-from .graph import Graph, iter_bits
-
-DEFAULT_CYCLE_CAP = 1_000_000
+from .graph import Graph, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -25,14 +23,25 @@ class CycleReport:
 
     ``has_cycle_len_not_div3`` concerns all simple cycles, not only chordless
     ones; it is None when its enumeration exhausted the expansion budget.
-    When ``truncated`` is set the census stopped at the cap and
-    ``has_induced_3tilde`` only reflects the cycles listed so far.
     """
 
     chordless_cycles: tuple[tuple[int, ...], ...]
     has_induced_3tilde: bool
     has_cycle_len_not_div3: "bool | None"
-    truncated: bool
+
+
+@dataclass(frozen=True)
+class CycleCensus:
+    """Vertex masks of the chordless cycles of one graph, for the solvers.
+
+    ``masks`` holds every chordless cycle, ``ternary`` those whose length is
+    divisible by 3 (the graph is ternary exactly when it is empty).  Masks use
+    the graph's vertex indices, not its labels; distinct chordless cycles have
+    distinct vertex sets, so no mask repeats.
+    """
+
+    masks: tuple[int, ...]
+    ternary: tuple[int, ...]
 
 
 def _chordless_iter(adj: tuple[int, ...], n: int, budget: Budget) -> Iterator[list[int]]:
@@ -74,24 +83,28 @@ def _simple_cycle_lengths(adj: tuple[int, ...], n: int, budget: Budget) -> Itera
             yield from extend([s, a], (1 << s) | (1 << a), s)
 
 
-def chordless_cycles(
-    g: Graph,
-    cap: int = DEFAULT_CYCLE_CAP,
-    budget: "Budget | None" = None,
-) -> CycleReport:
-    """Enumerate chordless cycles up to ``cap`` and classify lengths mod 3.
+def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
+    """Enumerate the chordless cycles of ``g`` once, as vertex masks."""
+    budget = ensure_budget(budget)
+    masks: list[int] = []
+    ternary: list[int] = []
+    for cyc in _chordless_iter(g.adj, g.n, budget):
+        m = mask_of(cyc)
+        masks.append(m)
+        if len(cyc) % 3 == 0:
+            ternary.append(m)
+    return CycleCensus(tuple(masks), tuple(ternary))
 
-    Cycles are reported in the graph's original labels.  Hitting the cap
-    yields a partial census flagged ``truncated``, never a silent loss.
+
+def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
+    """Enumerate every chordless cycle and classify lengths mod 3.
+
+    Cycles are reported in the graph's original labels.
     """
     budget = ensure_budget(budget)
     cycles: list[tuple[int, ...]] = []
     has3 = False
-    truncated = False
     for cyc in _chordless_iter(g.adj, g.n, budget):
-        if len(cycles) >= cap:
-            truncated = True
-            break
         cycles.append(tuple(g.labels[v] for v in cyc))
         if len(cyc) % 3 == 0:
             has3 = True
@@ -99,14 +112,14 @@ def chordless_cycles(
         not_div3 = has_cycle_length_not_div3(g, budget=budget)
     except BudgetExceededError:
         not_div3 = None
-    return CycleReport(tuple(cycles), has3, not_div3, truncated)
+    return CycleReport(tuple(cycles), has3, not_div3)
 
 
 def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:
     """True when no chordless cycle has length divisible by 3.
 
-    Exhaustive with early exit on the first witness; never answers from a
-    truncated enumeration.
+    Exhaustive with early exit on the first witness.  It enumerates on its
+    own, independently of any census, so it can re-check solver witnesses.
     """
     budget = ensure_budget(budget)
     for cyc in _chordless_iter(g.adj, g.n, budget):

@@ -9,7 +9,9 @@ avoid S (a chord only ever involves the cycle's own vertices), so:
     divisible by 3.
 
 Both invariants are minimum transversals (hitting sets) of a list of cycle
-vertex masks, and each transversal problem has one exact solver.
+vertex masks, and each transversal problem has one exact solver.  The lists
+come from one :class:`~altind.cycles.CycleCensus` per graph; no solver
+enumerates cycles itself.
 
 Minimum transversal (phi, phi3): iterative deepening on the size k, starting
 at a greedy packing of vertex-disjoint cycles.  At each k a depth-first
@@ -46,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
-from .cycles import _chordless_iter, is_ternary
-from .graph import Graph, bits, iter_bits, mask_of
+from .cycles import CycleCensus, cycle_census, is_ternary
+from .graph import Graph, bits, iter_bits
 from .indpoly import _IntEngine, independent_set_count
 
 
@@ -77,23 +79,7 @@ def _labeled(g: Graph, mask: int) -> tuple[int, ...]:
     return tuple(g.labels[v] for v in iter_bits(mask))
 
 
-def _cycle_masks(g: Graph, budget: Budget) -> tuple[list[int], list[int]]:
-    """Vertex masks of all chordless cycles, and of those with length % 3 == 0.
-
-    Distinct chordless cycles have distinct vertex sets (the set induces the
-    cycle), so no dedup is needed.
-    """
-    all_masks: list[int] = []
-    tern_masks: list[int] = []
-    for cyc in _chordless_iter(g.adj, g.n, budget):
-        m = mask_of(cyc)
-        all_masks.append(m)
-        if len(cyc) % 3 == 0:
-            tern_masks.append(m)
-    return all_masks, tern_masks
-
-
-def _incidence(masks: list[int]) -> list[int]:
+def _incidence(masks: "tuple[int, ...]") -> list[int]:
     """``on[v]``: bitset of the indices of the masks that contain vertex v."""
     on = [0] * max((m.bit_length() for m in masks), default=0)
     for i, m in enumerate(masks):
@@ -102,7 +88,7 @@ def _incidence(masks: list[int]) -> list[int]:
     return on
 
 
-def _min_transversal(masks: list[int], budget: Budget) -> tuple[int, int]:
+def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int]:
     """Smallest vertex set meeting every mask: (size, witness mask).
 
     The witness is lexicographically smallest among minimum solutions.
@@ -151,7 +137,7 @@ def _min_transversal(masks: list[int], budget: Budget) -> tuple[int, int]:
 
 
 def _minimal_transversal_masks(
-    masks: list[int],
+    masks: "tuple[int, ...]",
     budget: Budget,
     cap: "int | None" = None,
 ) -> tuple[list[int], bool]:
@@ -215,26 +201,48 @@ def _least_count(g: Graph, candidates: list[int], budget: Budget) -> tuple[int, 
     return best, best_mask
 
 
+def _check_ternary(g: Graph, mask: int, budget: Budget) -> None:
+    """Re-check a ternary decycling witness with the independent predicate."""
+    if not is_ternary(g.delete_vertices(mask), budget=budget):
+        raise AssertionError("ternary decycling witness failed the ternary re-check")
+
+
+def _phi_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int]:
+    """phi and its witness mask, re-checked to leave a forest."""
+    size, mask = _min_transversal(census.masks, budget)
+    if not g.delete_vertices(mask).is_acyclic():
+        raise AssertionError("decycling witness failed the acyclicity re-check")
+    return size, mask
+
+
+def _ternary_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int, int]:
+    """The phi3 witness mask, the middle bound and the middle witness mask.
+
+    The witness is the head of the sorted minimal ternary decycling sets,
+    re-checked to leave a ternary graph; the middle bound is the least count
+    over those same sets.
+    """
+    candidates, _ = _minimal_transversal_masks(census.ternary, budget)
+    _check_ternary(g, candidates[0], budget)
+    mid, mid_mask = _least_count(g, candidates, budget)
+    return candidates[0], mid, mid_mask
+
+
 # -- public operations -----------------------------------------------------------
 
 
 def min_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
     """Minimum number of vertex deletions leaving a forest, with a witness."""
     budget = ensure_budget(budget)
-    all_masks, _ = _cycle_masks(g, budget)
-    size, witness = _min_transversal(all_masks, budget)
-    if not g.delete_vertices(witness).is_acyclic():
-        raise AssertionError("decycling witness failed the acyclicity re-check")
+    size, witness = _phi_half(g, cycle_census(g, budget), budget)
     return size, _labeled(g, witness)
 
 
 def min_ternary_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
     """Minimum number of deletions leaving a ternary graph, with a witness."""
     budget = ensure_budget(budget)
-    _, tern_masks = _cycle_masks(g, budget)
-    size, witness = _min_transversal(tern_masks, budget)
-    if not is_ternary(g.delete_vertices(witness), budget=budget):
-        raise AssertionError("ternary decycling witness failed the ternary re-check")
+    size, witness = _min_transversal(cycle_census(g, budget).ternary, budget)
+    _check_ternary(g, witness, budget)
     return size, _labeled(g, witness)
 
 
@@ -251,7 +259,7 @@ def minimal_ternary_decycling_sets(
     divisible by 3.
     """
     budget = ensure_budget(budget)
-    _, tern_masks = _cycle_masks(g, budget)
+    tern_masks = cycle_census(g, budget).ternary
     out, truncated = _minimal_transversal_masks(tern_masks, budget, cap=cap)
     for m in out:
         if any(not m & cm for cm in tern_masks):
@@ -267,28 +275,25 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
     Returns the count and a lexicographically-smallest attaining witness.
     """
     budget = ensure_budget(budget)
-    _, tern_masks = _cycle_masks(g, budget)
-    candidates, _ = _minimal_transversal_masks(tern_masks, budget)
+    candidates, _ = _minimal_transversal_masks(cycle_census(g, budget).ternary, budget)
     best, best_mask = _least_count(g, candidates, budget)
     return best, _labeled(g, best_mask)
 
 
-def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResult:
-    """phi, phi3, nu and the middle bound from one chordless-cycle census."""
+def decycling_summary(
+    g: Graph,
+    budget: "Budget | None" = None,
+    census: "CycleCensus | None" = None,
+) -> DecyclingResult:
+    """phi, phi3, nu and the middle bound from one chordless-cycle census.
+
+    The census is taken under ``budget`` unless the caller passes one.
+    """
     budget = ensure_budget(budget)
-    all_masks, tern_masks = _cycle_masks(g, budget)
-
-    phi, phi_mask = _min_transversal(all_masks, budget)
-    if not g.delete_vertices(phi_mask).is_acyclic():
-        raise AssertionError("decycling witness failed the acyclicity re-check")
-
-    candidates, _ = _minimal_transversal_masks(tern_masks, budget)
-    phi3_mask = candidates[0]
-    if not is_ternary(g.delete_vertices(phi3_mask), budget=budget):
-        raise AssertionError("ternary decycling witness failed the ternary re-check")
-
-    mid, mid_mask = _least_count(g, candidates, budget)
-
+    if census is None:
+        census = cycle_census(g, budget)
+    phi, phi_mask = _phi_half(g, census, budget)
+    phi3_mask, mid, mid_mask = _ternary_half(g, census, budget)
     return DecyclingResult(
         phi=phi,
         phi_witness=_labeled(g, phi_mask),

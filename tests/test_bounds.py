@@ -1,11 +1,17 @@
 import random
+import sys
 
+import pytest
+
+import altind.cycles
 from altind import (
     CHECK_NAMES,
+    DEFAULT_EXPANSIONS,
     complete_graph,
     cycle_graph,
     empty_graph,
     enumerate_labeled_graphs,
+    parse_graph6,
     path_graph,
     run_corpus,
     summarize,
@@ -13,6 +19,7 @@ from altind import (
     verify_graph,
 )
 from altind.bounds import report_to_dict
+from altind.cli import _analyze_worker
 
 from conftest import random_graph
 
@@ -130,3 +137,77 @@ def test_empty_graph_line_verifies():
     reports, errors, summary = run_corpus(["?"])
     assert not errors and reports[0].alternating == 1
     assert reports[0].checks["ternary_unit_bound"].satisfied
+
+
+def _not_evaluated(report) -> set:
+    return {name for name, check in report.checks.items() if check.error}
+
+
+def test_blown_phi_solve_marks_only_decycling_bound():
+    # Expansions: census 33, phi 50, ternary half 39.
+    report = verify_graph(parse_graph6("F@Vmw"), budget_limit=45)
+    assert _not_evaluated(report) == {"decycling_bound"}
+    assert report.checks["chain_upper"].bound == 4
+
+
+def test_blown_ternary_half_marks_only_the_chain():
+    # Expansions: census 6, phi 8, ternary half 24.
+    report = verify_graph(complete_graph(4), budget_limit=10)
+    assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
+    assert report.checks["decycling_bound"].bound == 4
+
+
+def test_blown_census_record():
+    # K4's census takes 6 expansions; the alternating number and the
+    # simple-cycle walk take 3 each.
+    rec = report_to_dict(verify_graph(complete_graph(4), budget_limit=5))
+    blown = {
+        "applicable": None,
+        "bound": None,
+        "satisfied": None,
+        "slack": None,
+        "error": "cycle census not evaluated: instance too large: "
+        "expansion budget of 5 exhausted",
+    }
+    assert rec == {
+        "index": 0,
+        "graph6": "",
+        "n": 4,
+        "alternating": -3,
+        "checks": {
+            "ternary_unit_bound": blown,
+            "decycling_bound": blown,
+            "cyclomatic_bound": {
+                "applicable": True,
+                "bound": 5,
+                "satisfied": True,
+                "slack": 2,
+                "error": None,
+            },
+            "chain_lower": blown,
+            "chain_upper": blown,
+        },
+    }
+
+
+# Every ternary decycling witness of these graphs is nonempty, so its
+# re-check runs on a smaller graph and never matches the input's adjacency.
+@pytest.mark.parametrize("text", ["C~", "F@Vmw", "E{CG"])
+def test_one_census_per_graph(monkeypatch, text):
+    g = parse_graph6(text)
+    calls = []
+    enumerate_cycles = altind.cycles._chordless_iter
+
+    def spy(adj, n, budget):
+        if adj == g.adj:
+            calls.append(n)
+        return enumerate_cycles(adj, n, budget)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("altind") and hasattr(module, "_chordless_iter"):
+            monkeypatch.setattr(module, "_chordless_iter", spy)
+    verify_graph(g)
+    assert len(calls) == 1
+    calls.clear()
+    _analyze_worker(1, text, g, DEFAULT_EXPANSIONS)
+    assert len(calls) == 1

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import altind
 from altind.cli import main
 from altind import cycle_graph, enumerate_labeled_graphs, to_graph6
@@ -14,7 +16,8 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
         import io
         import sys
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode("ascii")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -178,3 +181,30 @@ def test_import_loads_no_numpy():
         check=True,
     )
     assert probe.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle"])
+def test_non_ascii_byte_is_a_line_error(capsys, tmp_path, monkeypatch, command):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"Bw\n\xff\n")
+    code, _, err = run_cli(capsys, [command, "--input", str(bad)])
+    assert code == 2 and "line 2: invalid graph6 byte" in err
+    from_stdin = run_cli(capsys, [command], stdin=b"Bw\n\xff\n", monkeypatch=monkeypatch)
+    assert (from_stdin[0], from_stdin[2]) == (code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--jobs", "2"],
+        ["oracle", "--strict"],
+        ["analyze", "--density-k", "3"],
+        ["verify", "--cycle-cap", "5"],
+        ["generate", "1", "--all", "--input", "corpus.g6"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -27,7 +27,6 @@ def test_c6_census():
     assert report.chordless_cycles == ((0, 1, 2, 3, 4, 5),)
     assert report.has_induced_3tilde
     assert report.has_cycle_len_not_div3 is False
-    assert not report.truncated
 
 
 def test_k4_census_is_all_triangles():
@@ -55,7 +54,6 @@ def test_canonical_orientation():
 @settings(max_examples=120, deadline=None)
 def test_census_matches_subset_oracle(g):
     report = chordless_cycles(g)
-    assert not report.truncated
     listed = [frozenset(c) for c in report.chordless_cycles]
     assert len(listed) == len(set(listed)), "duplicate cycles emitted"
     assert set(listed) == brute_chordless_sets(g)
@@ -69,12 +67,6 @@ def test_census_matches_subset_oracle_exhaustively_to_n5():
         for g in enumerate_labeled_graphs(n):
             listed = {frozenset(c) for c in chordless_cycles(g).chordless_cycles}
             assert listed == brute_chordless_sets(g)
-
-
-def test_cap_truncates_with_flag():
-    report = chordless_cycles(complete_graph(6), cap=5)
-    assert report.truncated
-    assert len(report.chordless_cycles) == 5
 
 
 def test_is_ternary_examples():

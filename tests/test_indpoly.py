@@ -72,7 +72,9 @@ def test_oracle_examples():
 def test_oracle_refuses_large_graphs():
     with pytest.raises(ValueError, match="n <= 25"):
         oracle_polynomial(empty_graph(26))
-    assert oracle_polynomial(empty_graph(26), cap=26) == independence_polynomial(empty_graph(26))
+    with pytest.raises(ValueError, match="n <= 3"):
+        oracle_polynomial(empty_graph(4), cap=3)
+    assert oracle_polynomial(empty_graph(4), cap=4) == independence_polynomial(empty_graph(4))
 
 
 def test_engine_equals_oracle_exhaustively_to_n5():
