@@ -18,8 +18,8 @@ read it "not evaluated":
   * alternating number:  every check but chain_upper,
   * cycle census:        every check but cyclomatic_bound,
   * phi solve:           decycling_bound,
-  * ternary half:        chain_lower and chain_upper (minimal ternary
-                         decycling sets, phi3 as their head, middle bound),
+  * ternary half:        chain_lower and chain_upper (phi3, then the
+                         middle bound searched from its witness),
   * simple-cycle walk:   cyclomatic_bound.
 
 Hypothesis failure marks a check not applicable, never unsatisfied; a budget

@@ -28,19 +28,25 @@ order, whose first hit among sets of one size is the lexicographically
 smallest.  No smaller size has a solution, so that first hit is the
 lexicographically smallest minimum transversal.
 
-Minimal transversals (middle bound): MMCS (Murakami and Uno, "Efficient
-algorithms for dualizing large-scale hypergraphs", DAM 2014).  It grows a set
-one vertex at a time, keeps for every chosen vertex the bitset of cycles that
-only it hits (``crit``) and the bitset of cycles nothing hits yet
-(``uncov``), branches on the vertices of one unhit cycle, and abandons a
-branch as soon as some chosen vertex loses its last private cycle.  Every
-emitted set is therefore minimal, and each minimal set is emitted once.
+Minimal transversals: MMCS (Murakami and Uno, "Efficient algorithms for
+dualizing large-scale hypergraphs", DAM 2014).  It grows a set one vertex at
+a time, keeps for every chosen vertex the bitset of cycles that only it hits
+(``crit``) and the bitset of cycles nothing hits yet (``uncov``), branches on
+the vertices of one unhit cycle, and abandons a branch as soon as some chosen
+vertex loses its last private cycle.  Every emitted set is therefore
+minimal, and each minimal set is emitted once.
 
-Every minimum transversal is minimal, so the list of minimal ternary
-transversals sorted by (size, vertex tuple) starts with the
-lexicographically smallest minimum one: phi3 and its witness are its head.
+Middle bound: the same MMCS walk, pruned by the independent-set count.  The
+count of G[S] never decreases as S grows, and MMCS only grows S along a
+branch, so a partial set that already counts more than the best minimal set
+found cannot lead to a better one.  The bound starts at the count of the
+phi3 witness: it is minimum, hence minimal, hence a candidate.  Ties are
+never cut, so the witness is still the first attaining set in (size, vertex
+tuple) order.
+
 Witnesses are re-verified with the independent acyclicity/ternary
-predicates.
+predicates, except an empty phi3 witness: re-checking G - {} = G would rerun
+the census's own enumerator on the census's own graph.
 """
 
 from __future__ import annotations
@@ -136,25 +142,20 @@ def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int
         k += 1
 
 
-def _minimal_transversal_masks(
-    masks: "tuple[int, ...]",
-    budget: Budget,
-    cap: "int | None" = None,
-) -> tuple[list[int], bool]:
-    """All inclusion-minimal transversals, sorted by (size, vertex tuple).
+def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
+    """Walk the inclusion-minimal transversals of ``masks`` by MMCS.
 
-    With a ``cap``, the search stops once it has found ``cap + 1`` sets and
-    reports ``truncated``; the smallest ``cap`` of the sets found are kept.
+    ``grow(chosen, value, v, uncov)`` gives the value carried by
+    ``chosen | 1 << v``, whose unhit masks are ``uncov``, or None to cut that
+    branch; ``leaf(chosen, value)`` receives every minimal transversal the
+    search reaches and returns True to stop it.  The root carries 1.
     """
     on = _incidence(masks)
-    found: list[int] = []
 
-    def mmcs(chosen: int, cand: int, crit: dict[int, int], uncov: int) -> bool:
-        """Extend ``chosen`` by vertices of ``cand``; True once the cap is passed."""
+    def search(chosen: int, value, cand: int, crit: dict[int, int], uncov: int) -> bool:
         budget.spend()
         if not uncov:
-            found.append(chosen)
-            return cap is not None and len(found) > cap
+            return leaf(chosen, value)
         # Branch on the unhit cycle with the fewest candidate vertices.
         branch = cand
         for i in iter_bits(uncov):
@@ -166,45 +167,90 @@ def _minimal_transversal_masks(
             hit = on[v]
             kept = {u: c & ~hit for u, c in crit.items()}
             if all(kept.values()):
-                kept[v] = uncov & hit
-                if mmcs(chosen | 1 << v, cand, kept, uncov & ~hit):
-                    return True
+                grown = grow(chosen, value, v, uncov & ~hit)
+                if grown is not None:
+                    kept[v] = uncov & hit
+                    if search(chosen | 1 << v, grown, cand, kept, uncov & ~hit):
+                        return True
             cand |= 1 << v
         return False
 
     universe = 0
     for m in masks:
         universe |= m
-    truncated = mmcs(0, universe, {}, (1 << len(masks)) - 1)
+    search(0, 1, universe, {}, (1 << len(masks)) - 1)
+
+
+def _minimal_transversal_masks(
+    masks: "tuple[int, ...]",
+    budget: Budget,
+    cap: "int | None" = None,
+) -> tuple[list[int], bool]:
+    """All inclusion-minimal transversals, sorted by (size, vertex tuple).
+
+    With a ``cap``, the search stops once it has found ``cap + 1`` sets and
+    reports ``truncated``; the smallest ``cap`` of the sets found are kept.
+    """
+    found: list[int] = []
+
+    def leaf(chosen: int, _) -> bool:
+        found.append(chosen)
+        return cap is not None and len(found) > cap
+
+    _mmcs(masks, budget, lambda chosen, value, v, uncov: value, leaf)
+    truncated = cap is not None and len(found) > cap
     found.sort(key=lambda m: (m.bit_count(), bits(m)))
     return (found[:cap] if truncated else found), truncated
 
 
-def _least_count(g: Graph, candidates: list[int], budget: Budget) -> tuple[int, int]:
-    """Fewest independent sets of G[D] over the candidate masks D, and the
-    first D attaining it.
+def _least_minimal_count(
+    g: Graph, masks: "tuple[int, ...]", seed: int, budget: Budget
+) -> tuple[int, int]:
+    """Fewest independent sets of G[D] over the minimal transversals D of
+    ``masks``, and the first D attaining it in (size, vertex tuple) order.
 
-    One engine serves every candidate: its memo is keyed by component masks
-    of g, which mean the same subgraph whichever candidate reached them.
+    MMCS carries i(S), the independent-set count of G[S], as
+    i(S + v) = i(S) + i(S - N(v)).  Each vertex added raises i(S) by at least
+    one (its own singleton), so every transversal below S counts at least
+    i(S), and at least i(S) + 1 while some mask is still unhit.  A branch is
+    cut once that exceeds the best count found, which starts at the count of
+    ``seed``, itself a minimal transversal.  Equal counts are never cut, so
+    every set attaining the minimum is reached and the tie-break sees them
+    all.  One engine serves every count: its memo is keyed by component masks
+    of g, which mean the same subgraph whichever set reached them.
     """
     engine = _IntEngine(g.adj, 1, budget)
-    best = None
-    best_mask = 0
-    for m in candidates:
-        budget.spend()
-        count = engine.eval_mask(m)
-        if best is None or count < best:
-            best, best_mask = count, m
+    best = (engine.eval_mask(seed), seed.bit_count(), bits(seed), seed)
+
+    def grow(chosen: int, count: int, v: int, uncov: int) -> "int | None":
+        count += engine.eval_mask(chosen & ~g.adj[v])
+        return None if count + (uncov != 0) > best[0] else count
+
+    def leaf(chosen: int, count: int) -> bool:
+        nonlocal best
+        best = min(best, (count, chosen.bit_count(), bits(chosen), chosen))
+        return False
+
+    _mmcs(masks, budget, grow, leaf)
+    count, _, _, mask = best
     # Cross-check the winner on the relabeled induced subgraph.
-    if independent_set_count(g.induced_subgraph(best_mask), budget=budget) != best:
+    if independent_set_count(g.induced_subgraph(mask), budget=budget) != count:
         raise AssertionError("independent-set count mismatch on the middle witness")
-    return best, best_mask
+    return count, mask
 
 
-def _check_ternary(g: Graph, mask: int, budget: Budget) -> None:
-    """Re-check a ternary decycling witness with the independent predicate."""
+def _min_ternary_mask(g: Graph, ternary: "tuple[int, ...]", budget: Budget) -> int:
+    """The phi3 witness mask, re-checked to leave a ternary graph.
+
+    With no ternary cycle the witness is empty and is not re-checked: that
+    would rerun the census's own enumerator on the census's own graph.
+    """
+    if not ternary:
+        return 0
+    _, mask = _min_transversal(ternary, budget)
     if not is_ternary(g.delete_vertices(mask), budget=budget):
         raise AssertionError("ternary decycling witness failed the ternary re-check")
+    return mask
 
 
 def _phi_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int]:
@@ -218,14 +264,14 @@ def _phi_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int]:
 def _ternary_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int, int]:
     """The phi3 witness mask, the middle bound and the middle witness mask.
 
-    The witness is the head of the sorted minimal ternary decycling sets,
-    re-checked to leave a ternary graph; the middle bound is the least count
-    over those same sets.
+    The middle bound is searched from the phi3 witness, which is minimum,
+    hence minimal, hence one of the candidates.
     """
-    candidates, _ = _minimal_transversal_masks(census.ternary, budget)
-    _check_ternary(g, candidates[0], budget)
-    mid, mid_mask = _least_count(g, candidates, budget)
-    return candidates[0], mid, mid_mask
+    if not census.ternary:
+        return 0, 1, 0
+    phi3_mask = _min_ternary_mask(g, census.ternary, budget)
+    mid, mid_mask = _least_minimal_count(g, census.ternary, phi3_mask, budget)
+    return phi3_mask, mid, mid_mask
 
 
 # -- public operations -----------------------------------------------------------
@@ -241,9 +287,8 @@ def min_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[
 def min_ternary_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
     """Minimum number of deletions leaving a ternary graph, with a witness."""
     budget = ensure_budget(budget)
-    size, witness = _min_transversal(cycle_census(g, budget).ternary, budget)
-    _check_ternary(g, witness, budget)
-    return size, _labeled(g, witness)
+    witness = _min_ternary_mask(g, cycle_census(g, budget).ternary, budget)
+    return witness.bit_count(), _labeled(g, witness)
 
 
 def minimal_ternary_decycling_sets(
@@ -275,8 +320,7 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
     Returns the count and a lexicographically-smallest attaining witness.
     """
     budget = ensure_budget(budget)
-    candidates, _ = _minimal_transversal_masks(cycle_census(g, budget).ternary, budget)
-    best, best_mask = _least_count(g, candidates, budget)
+    _, best, best_mask = _ternary_half(g, cycle_census(g, budget), budget)
     return best, _labeled(g, best_mask)
 
 

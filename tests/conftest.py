@@ -10,12 +10,30 @@ import random
 
 from hypothesis import strategies as st
 
-from altind import Graph
+from altind import Graph, independent_set_count, minimal_ternary_decycling_sets
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def subdivided_complete(m: int, s: int) -> Graph:
+    """K_m with every edge replaced by a path through s fresh vertices."""
+    edges = []
+    n = m
+    for i, j in combinations(range(m), 2):
+        path = [i, *range(n, n + s), j]
+        n += s
+        edges += zip(path, path[1:])
+    return Graph.from_edges(n, edges)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """An isomorphic copy of g under a random vertex permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @st.composite
@@ -162,6 +180,19 @@ def brute_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
         key=lambda subset: brute_count(g.induced_subgraph(subset)),
     )
     return brute_count(g.induced_subgraph(witness)), witness
+
+
+def slow_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(min count, argmin) over the full list of minimal ternary decycling
+    sets, counting each one, ties broken by (size, vertex tuple); for graphs
+    too large for :func:`brute_middle_bound`."""
+    sets, truncated = minimal_ternary_decycling_sets(g)
+    assert not truncated
+    witness = min(
+        sets,
+        key=lambda s: (independent_set_count(g.induced_subgraph(s)), len(s), s),
+    )
+    return independent_set_count(g.induced_subgraph(witness)), witness
 
 
 # -- transversal oracles over explicit cycle vertex sets --------------------------

@@ -144,14 +144,14 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: census 33, phi 50, ternary half 39.
-    report = verify_graph(parse_graph6("F@Vmw"), budget_limit=45)
+    # Expansions: alternating 8, census 33, phi 62, ternary half 37, walk 4.
+    report = verify_graph(parse_graph6("FUWxw"), budget_limit=50)
     assert _not_evaluated(report) == {"decycling_bound"}
     assert report.checks["chain_upper"].bound == 4
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: census 6, phi 8, ternary half 24.
+    # Expansions: census 6, phi 8, ternary half 21.
     report = verify_graph(complete_graph(4), budget_limit=10)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
@@ -190,9 +190,10 @@ def test_blown_census_record():
     }
 
 
-# Every ternary decycling witness of these graphs is nonempty, so its
-# re-check runs on a smaller graph and never matches the input's adjacency.
-@pytest.mark.parametrize("text", ["C~", "F@Vmw", "E{CG"])
+# The first three have nonempty ternary decycling witnesses, whose re-check
+# runs on a smaller graph; C4, C8 and P5 are ternary, and their empty witness
+# is not re-checked.
+@pytest.mark.parametrize("text", ["C~", "F@Vmw", "E{CG", "Cl", "GhCGKC", "DhC"])
 def test_one_census_per_graph(monkeypatch, text):
     g = parse_graph6(text)
     calls = []

@@ -11,7 +11,9 @@ from altind import (
     empty_graph,
     has_cycle_length_not_div3,
     is_ternary,
+    parse_graph6,
     path_graph,
+    verify_graph,
 )
 
 from conftest import (
@@ -98,6 +100,17 @@ def test_has_cycle_length_not_div3_examples():
     assert has_cycle_length_not_div3(cycle_graph(4))
     assert has_cycle_length_not_div3(complete_graph(4))
     assert not has_cycle_length_not_div3(path_graph(6))
+
+
+def test_threads_of_a_block_need_not_have_length_divisible_by_3():
+    # Two 6-cycles 0..5 and 6..11 joined by the edge 3-6, plus the path
+    # 0-12-9 between their far vertices.  The block is 2-connected and every
+    # cycle has length 6 or 9, yet the threads 3-6 and 0-12-9 have lengths
+    # 1 and 2: threads in series constrain only their sum mod 3.
+    g = parse_graph6("LhEG_C@?G?_P_C")
+    assert all(g.delete_vertices([v]).is_connected() for v in range(g.n))
+    assert not has_cycle_length_not_div3(g)
+    assert verify_graph(g).checks["cyclomatic_bound"].applicable is False
 
 
 @given(graphs(max_n=7))

@@ -11,6 +11,7 @@ from altind import (
     complete_graph,
     cycle_graph,
     cyclomatic_number,
+    doubler_chain,
     decycling_summary,
     disjoint_union,
     empty_graph,
@@ -32,6 +33,9 @@ from conftest import (
     combinations_min_transversal,
     graphs,
     random_graph,
+    relabeled,
+    slow_middle_bound,
+    subdivided_complete,
 )
 
 TWO_TRIANGLES_BRIDGED = Graph.from_edges(
@@ -151,6 +155,32 @@ def test_large_universe_matches_subset_oracles():
     assert not truncated
     assert {frozenset(s) for s in sets} == berge_minimal_transversals(tern)
     assert sets == sorted(sets, key=lambda s: (len(s), s))
+
+
+MIDDLE_CASES = {
+    "gnp20": random_graph(random.Random(1), 20, 0.25),
+    "k7-sub1": subdivided_complete(7, 1),
+    "k5-sub2": subdivided_complete(5, 2),
+    "k5-sub2-relabeled": relabeled(subdivided_complete(5, 2), random.Random(5)),
+    "doubler6": doubler_chain(6)[0],
+}
+
+
+@pytest.mark.parametrize("name", MIDDLE_CASES)
+def test_pruned_middle_search_matches_full_enumeration(name):
+    g = MIDDLE_CASES[name]
+    expected = slow_middle_bound(g)
+    assert middle_bound(g) == expected
+    res = decycling_summary(g)
+    assert (res.middle_bound, res.middle_witness) == expected
+
+
+def test_k6_twice_subdivided_within_budget():
+    # Enumerating and counting every minimal ternary decycling set takes
+    # 3.24M expansions here; the count bound cuts nearly all of them.
+    res = decycling_summary(subdivided_complete(6, 2), Budget(50_000))
+    assert res.phi3 == 4
+    assert (res.middle_bound, res.middle_witness) == (16, (0, 1, 2, 3))
 
 
 @given(graphs(max_n=7))
