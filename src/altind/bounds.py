@@ -11,16 +11,18 @@ For each input graph the verifier evaluates, with exact integers:
   * chain_upper:         that minimum is <= 2^phi3.
 
 The chordless cycles are enumerated once per graph, into a census the
-solvers share.  Five stages run, each under its own fresh budget of
-``budget_limit`` expansions; one that exhausts it marks only the checks that
-read it "not evaluated":
+solvers and the cycle-length hypothesis share.  Five stages run, each under
+its own fresh budget of ``budget_limit`` expansions; one that exhausts it
+marks only the checks that read it "not evaluated":
 
-  * alternating number:  every check but chain_upper,
-  * cycle census:        every check but cyclomatic_bound,
-  * phi solve:           decycling_bound,
-  * ternary half:        chain_lower and chain_upper (phi3, then the
-                         middle bound searched from its witness),
-  * simple-cycle walk:   cyclomatic_bound.
+  * alternating number:       every check but chain_upper,
+  * cycle census:             every check,
+  * phi solve:                decycling_bound,
+  * ternary half:             chain_lower and chain_upper (phi3, then the
+                              middle bound searched from its witness),
+  * cycle-length hypothesis:  cyclomatic_bound (the census's cycle lengths,
+                              then the polynomial chord test; see
+                              ``cycles``).
 
 Hypothesis failure marks a check not applicable, never unsatisfied; a budget
 failure downgrades it to "not evaluated" with the reason recorded.  A
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
-from .cycles import cycle_census, has_cycle_length_not_div3
+from .cycles import _cycle_length_not_div3, cycle_census
 from .decycling import _phi_half, _ternary_half, cyclomatic_number
 from .graph import Graph
 from .graph6 import iter_graph6
@@ -98,15 +100,15 @@ def verify_graph(
     alternating, alt_error = attempt("alternating number", alternating_number, g)
     magnitude = None if alternating is None else abs(alternating)
     census, census_error = attempt("cycle census", cycle_census, g)
-    phi_error = ternary_error = census_error
+    phi_error = ternary_error = not_div3_error = census_error
     if census is not None:
         phi_half, phi_error = attempt("decycling number", _phi_half, g, census)
         ternary_half, ternary_error = attempt(
             "ternary decycling invariants", _ternary_half, g, census
         )
-    not_div3, not_div3_error = attempt(
-        "cycle-length hypothesis", has_cycle_length_not_div3, g
-    )
+        not_div3, not_div3_error = attempt(
+            "cycle-length hypothesis", _cycle_length_not_div3, g, census
+        )
 
     def bounded(applicable: bool, bound: int, value: "int | None") -> CheckResult:
         if not applicable:

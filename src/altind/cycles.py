@@ -6,6 +6,33 @@ smallest cycle vertex, only ever appending vertices adjacent to the path's
 last vertex and non-adjacent to every interior vertex; adjacency to the start
 closes a cycle.  Each cycle is produced once, in canonical orientation (start
 at the smallest label, second vertex smaller than last).
+
+Whether some simple cycle, chordless or not, has length not divisible by 3
+is decided from the chordless cycles plus a polynomial chord test, without
+walking the simple cycles.  G has such a cycle (call this the claim) iff
+
+  (A) some chordless cycle has length not divisible by 3, or
+  (B) some cycle of G has a chord.
+
+A implies the claim, since a chordless cycle is a simple cycle.  The claim
+implies A or B: its witness cycle is either chordless or has a chord.  B
+implies the claim: take a shortest cycle C with a chord uv.  The chord
+splits C into cycles C1 and C2, both shorter than C, so both are chordless
+(a chord of either would make it a shorter chorded cycle).  If C1 or C2 has
+length not divisible by 3 it is the witness; otherwise
+|C| = |C1| + |C2| - 2 = 1 (mod 3) and C is.
+
+No cycle has a chord exactly when every 2-connected block of G is minimally
+2-connected (Dirac 1967, Plummer 1968).  B is decided edge by edge: uv is a
+chord of some cycle iff G - uv holds two internally disjoint u-v paths.
+Each endpoint of a chord has two cycle neighbours besides the other, so only
+edges between vertices of degree at least 3 are tried.  u and v are not
+adjacent in G - uv, so by Menger's theorem the two paths exist iff some u-v
+path P exists and no single vertex w separates u from v in G - uv - w.  A
+separating vertex lies on every u-v path, so testing the interior vertices
+of one path P is enough.  The test charges one expansion per edge tried and
+one per separation test, and costs O(m n (n + m)) bit operations, whatever
+the number of chordless cycles.
 """
 
 from __future__ import annotations
@@ -13,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .budget import Budget, BudgetExceededError, ensure_budget
+from .budget import Budget, ensure_budget
 from .graph import Graph, iter_bits, mask_of
 
 
@@ -22,12 +49,12 @@ class CycleReport:
     """Chordless-cycle census plus the mod-3 classification flags.
 
     ``has_cycle_len_not_div3`` concerns all simple cycles, not only chordless
-    ones; it is None when its enumeration exhausted the expansion budget.
+    ones (see the module docstring for how it is decided).
     """
 
     chordless_cycles: tuple[tuple[int, ...], ...]
     has_induced_3tilde: bool
-    has_cycle_len_not_div3: "bool | None"
+    has_cycle_len_not_div3: bool
 
 
 @dataclass(frozen=True)
@@ -66,21 +93,50 @@ def _chordless_iter(adj: tuple[int, ...], n: int, budget: Budget) -> Iterator[li
             yield from extend([s, a], (1 << s) | (1 << a), s)
 
 
-def _simple_cycle_lengths(adj: tuple[int, ...], n: int, budget: Budget) -> Iterator[int]:
-    """Yield the length of every simple cycle once (canonical direction)."""
+def _bfs_layers(adj: tuple[int, ...], u: int, v: int, avoid: int = 0) -> "list[int] | None":
+    """Breadth-first layers from ``u`` in G - uv - ``avoid`` (a vertex mask
+    without u and v), up to the last one before ``v``; None when v is not
+    reached."""
+    layers = [1 << u]
+    seen = 1 << u | 1 << v | avoid
+    frontier = adj[u] & ~seen
+    while frontier:
+        layers.append(frontier)
+        seen |= frontier
+        reach = 0
+        for w in iter_bits(frontier):
+            reach |= adj[w]
+        if reach >> v & 1:
+            return layers
+        frontier = reach & ~seen
+    return None
 
-    def extend(path: list[int], mask: int, s: int) -> Iterator[int]:
+
+def _is_chord(adj: tuple[int, ...], u: int, v: int, budget: Budget) -> bool:
+    """True when the edge uv is a chord of some cycle: G - uv is u-v
+    connected, and no interior vertex of one u-v path separates u from v."""
+    layers = _bfs_layers(adj, u, v)
+    if layers is None:
+        return False
+    w = v
+    for layer in reversed(layers[1:]):
+        before = layer & adj[w]
+        w = (before & -before).bit_length() - 1
         budget.spend()
-        last = path[-1]
-        if len(path) >= 3 and adj[last] >> s & 1 and path[1] < last:
-            yield len(path)
-        above = -1 << (s + 1)
-        for w in iter_bits(adj[last] & above & ~mask):
-            yield from extend(path + [w], mask | 1 << w, s)
+        if _bfs_layers(adj, u, v, 1 << w) is None:
+            return False
+    return True
 
-    for s in range(n):
-        for a in iter_bits(adj[s] & (-1 << (s + 1))):
-            yield from extend([s, a], (1 << s) | (1 << a), s)
+
+def _has_chorded_cycle(adj: tuple[int, ...], n: int, budget: Budget) -> bool:
+    """True when some cycle has a chord (disjunct B of the module docstring)."""
+    heavy = mask_of(v for v in range(n) if adj[v].bit_count() >= 3)
+    for u in iter_bits(heavy):
+        for v in iter_bits(adj[u] & heavy & (-1 << (u + 1))):
+            budget.spend()
+            if _is_chord(adj, u, v, budget):
+                return True
+    return False
 
 
 def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
@@ -102,17 +158,14 @@ def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     Cycles are reported in the graph's original labels.
     """
     budget = ensure_budget(budget)
-    cycles: list[tuple[int, ...]] = []
-    has3 = False
-    for cyc in _chordless_iter(g.adj, g.n, budget):
-        cycles.append(tuple(g.labels[v] for v in cyc))
-        if len(cyc) % 3 == 0:
-            has3 = True
-    try:
-        not_div3 = has_cycle_length_not_div3(g, budget=budget)
-    except BudgetExceededError:
-        not_div3 = None
-    return CycleReport(tuple(cycles), has3, not_div3)
+    cycles = tuple(
+        tuple(g.labels[v] for v in cyc) for cyc in _chordless_iter(g.adj, g.n, budget)
+    )
+    has3 = any(len(cyc) % 3 == 0 for cyc in cycles)
+    not_div3 = any(len(cyc) % 3 for cyc in cycles) or _has_chorded_cycle(
+        g.adj, g.n, budget
+    )
+    return CycleReport(cycles, has3, not_div3)
 
 
 def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:
@@ -128,10 +181,16 @@ def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:
     return True
 
 
+def _cycle_length_not_div3(g: Graph, census: CycleCensus, budget: Budget) -> bool:
+    """True when some simple cycle of ``g`` has length not divisible by 3,
+    read off its census plus the chord test (the module docstring's rule)."""
+    return len(census.masks) > len(census.ternary) or _has_chorded_cycle(
+        g.adj, g.n, budget
+    )
+
+
 def has_cycle_length_not_div3(g: Graph, budget: "Budget | None" = None) -> bool:
-    """True when some simple cycle (induced or not) has length not divisible by 3."""
+    """True when some simple cycle (induced or not) has length not divisible
+    by 3; takes its own census."""
     budget = ensure_budget(budget)
-    for length in _simple_cycle_lengths(g.adj, g.n, budget):
-        if length % 3 != 0:
-            return True
-    return False
+    return _cycle_length_not_div3(g, cycle_census(g, budget), budget)

@@ -18,15 +18,36 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def subdivided_complete(m: int, s: int) -> Graph:
-    """K_m with every edge replaced by a path through s fresh vertices."""
-    edges = []
+def subdivided(m: int, edges) -> Graph:
+    """The graph on vertices 0..m-1 plus fresh ones in which each ``(i, j, s)``
+    of ``edges`` is an i-j path through s fresh vertices."""
+    out = []
     n = m
-    for i, j in combinations(range(m), 2):
+    for i, j, s in edges:
         path = [i, *range(n, n + s), j]
         n += s
-        edges += zip(path, path[1:])
-    return Graph.from_edges(n, edges)
+        out += zip(path, path[1:])
+    return Graph.from_edges(n, out)
+
+
+def subdivided_complete(m: int, s: int) -> Graph:
+    """K_m with every edge replaced by a path through s fresh vertices."""
+    return subdivided(m, [(i, j, s) for i, j in combinations(range(m), 2)])
+
+
+def random_subdivided(rng: random.Random, max_m: int = 7, max_s: int = 3) -> Graph:
+    """A random graph on 2..``max_m`` vertices, each edge replaced by a path
+    through 0..``max_s`` fresh vertices."""
+    m = rng.randrange(2, max_m + 1)
+    p = rng.random()
+    pairs = [pair for pair in combinations(range(m), 2) if rng.random() < p]
+    return subdivided(m, [(i, j, rng.randrange(max_s + 1)) for i, j in pairs])
+
+
+def theta_graph(*lengths: int) -> Graph:
+    """Two poles 0 and 1 joined by internally disjoint paths of the given
+    lengths, each at least 2."""
+    return subdivided(2, [(0, 1, length - 1) for length in lengths])
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
@@ -112,6 +133,30 @@ def _has_hamiltonian_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
 
 def brute_has_cycle_not_div3(g: Graph) -> bool:
     return any(length % 3 != 0 for length in brute_simple_cycle_lengths(g))
+
+
+def walk_simple_cycle_lengths(g: Graph):
+    """Yield the length of every simple cycle once (canonical direction), by
+    depth-first path extension from the smallest cycle vertex.  Exponential;
+    for graphs too large for :func:`brute_simple_cycle_lengths`."""
+    adj = g.adj
+
+    def extend(path, mask, s):
+        last = path[-1]
+        if len(path) >= 3 and adj[last] >> s & 1 and path[1] < last:
+            yield len(path)
+        for w in range(s + 1, g.n):
+            if adj[last] >> w & 1 and not mask >> w & 1:
+                yield from extend(path + [w], mask | 1 << w, s)
+
+    for s in range(g.n):
+        for a in range(s + 1, g.n):
+            if adj[s] >> a & 1:
+                yield from extend([s, a], (1 << s) | (1 << a), s)
+
+
+def walk_has_cycle_not_div3(g: Graph) -> bool:
+    return any(length % 3 != 0 for length in walk_simple_cycle_lengths(g))
 
 
 # -- decycling oracles -----------------------------------------------------------

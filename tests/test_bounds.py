@@ -21,7 +21,7 @@ from altind import (
 from altind.bounds import report_to_dict
 from altind.cli import _analyze_worker
 
-from conftest import random_graph
+from conftest import random_graph, subdivided_complete
 
 
 def test_c4_report():
@@ -144,22 +144,33 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: alternating 8, census 33, phi 62, ternary half 37, walk 4.
+    # Expansions: alternating 8, census 33, phi 62, ternary half 37,
+    # hypothesis 0 (a 4-cycle is chordless, so no chord test runs).
     report = verify_graph(parse_graph6("FUWxw"), budget_limit=50)
     assert _not_evaluated(report) == {"decycling_bound"}
     assert report.checks["chain_upper"].bound == 4
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: census 6, phi 8, ternary half 21.
+    # Expansions: census 6, phi 8, ternary half 21, hypothesis 2 (one edge
+    # tried, one separation test).
     report = verify_graph(complete_graph(4), budget_limit=10)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
 
 
+def test_twice_subdivided_k7_hypothesis_within_budget():
+    # Every cycle has length divisible by 3 and no two branch vertices are
+    # adjacent, so the census (17,158 expansions) decides it and the chord
+    # test tries no edge; walking the simple cycles took 26,120.
+    report = verify_graph(subdivided_complete(7, 2), budget_limit=20_000)
+    check = report.checks["cyclomatic_bound"]
+    assert check.error is None and check.applicable is False
+
+
 def test_blown_census_record():
-    # K4's census takes 6 expansions; the alternating number and the
-    # simple-cycle walk take 3 each.
+    # K4's census takes 6 expansions and the alternating number 3; the
+    # cycle-length hypothesis reads the census, so it is not evaluated either.
     rec = report_to_dict(verify_graph(complete_graph(4), budget_limit=5))
     blown = {
         "applicable": None,
@@ -177,13 +188,7 @@ def test_blown_census_record():
         "checks": {
             "ternary_unit_bound": blown,
             "decycling_bound": blown,
-            "cyclomatic_bound": {
-                "applicable": True,
-                "bound": 5,
-                "satisfied": True,
-                "slack": 2,
-                "error": None,
-            },
+            "cyclomatic_bound": blown,
             "chain_lower": blown,
             "chain_upper": blown,
         },

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from altind import (
     chordless_cycles,
     complete_graph,
     cycle_graph,
+    doubler_chain,
     empty_graph,
+    enumerate_labeled_graphs,
     has_cycle_length_not_div3,
     is_ternary,
     parse_graph6,
@@ -21,6 +25,10 @@ from conftest import (
     brute_has_cycle_not_div3,
     brute_is_ternary,
     graphs,
+    random_subdivided,
+    relabeled,
+    theta_graph,
+    walk_has_cycle_not_div3,
 )
 
 
@@ -117,6 +125,58 @@ def test_threads_of_a_block_need_not_have_length_divisible_by_3():
 @settings(max_examples=100, deadline=None)
 def test_simple_cycle_predicate_matches_permutation_oracle(g):
     assert has_cycle_length_not_div3(g) == brute_has_cycle_not_div3(g)
+    assert walk_has_cycle_not_div3(g) == brute_has_cycle_not_div3(g)
+
+
+def _assert_hypothesis_matches_walk(g):
+    """The predicate, the census flag and verify_graph's applicability of
+    cyclomatic_bound all equal the simple-cycle walk."""
+    expected = walk_has_cycle_not_div3(g)
+    assert has_cycle_length_not_div3(g) is expected
+    assert chordless_cycles(g).has_cycle_len_not_div3 is expected
+    assert verify_graph(g).checks["cyclomatic_bound"].applicable is expected
+
+
+def test_hypothesis_matches_walk_exhaustively_to_n5():
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            _assert_hypothesis_matches_walk(g)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_matches_walk_on_random_graphs(g):
+    _assert_hypothesis_matches_walk(g)
+
+
+def test_hypothesis_matches_walk_on_subdivided_graphs():
+    # Long threads between branch vertices give chordless cycles of every
+    # residue, and only the edges left unsubdivided can be chords.
+    rng = random.Random(2024)
+    for _ in range(150):
+        g = random_subdivided(rng)
+        _assert_hypothesis_matches_walk(g)
+        _assert_hypothesis_matches_walk(relabeled(g, rng))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(doubler_chain(k)[0], id=f"doubler{k}") for k in range(1, 7)]
+    + [
+        pytest.param(parse_graph6("Cz"), id="diamond"),
+        pytest.param(theta_graph(3, 3, 3), id="theta333"),
+        pytest.param(parse_graph6("LhEG_C@?G?_P_C"), id="hexagons-in-series"),
+    ],
+)
+def test_hypothesis_matches_walk_on_named_graphs(g):
+    _assert_hypothesis_matches_walk(g)
+
+
+def test_hypothesis_does_not_walk_simple_cycles():
+    # The census takes 585 expansions and settles it (a chordless cycle of
+    # length not divisible by 3); walking the simple cycles took 126,513.
+    g = parse_graph6("Q??@?O@?`[Z??E?s@_?HHDJ[cCo")
+    assert has_cycle_length_not_div3(g, Budget(2_000))
 
 
 @given(graphs(max_n=8))
@@ -134,8 +194,8 @@ def test_budget_exhaustion_is_an_error():
     k44 = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
     with pytest.raises(BudgetExceededError):
         is_ternary(k44, Budget(3))
-    # Disjoint triangles: every cycle length is divisible by 3, so the
-    # predicate cannot exit early either.
+    # Disjoint triangles: the predicate reads the whole census, 12
+    # expansions, before the chord test (which has no edge to try here).
     triangles = Graph.from_edges(
         12, [(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]
     )
