@@ -28,13 +28,17 @@ Hypothesis failure marks a check not applicable, never unsatisfied; a budget
 failure downgrades it to "not evaluated" with the reason recorded.  A
 satisfied=False anywhere signals either an implementation bug or a
 counterexample to a proved statement, and is surfaced loudly by the callers.
+So is an ``AssertionError`` from a witness re-check or an engine cross-check:
+over a corpus it becomes an :class:`InternalError` in place of that graph's
+record, and the other graphs still run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, NamedTuple
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .cycles import _cycle_length_not_div3, cycle_census
@@ -73,6 +77,17 @@ class BoundsReport:
     alternating: "int | None"
     checks: dict
     error: "str | None" = None
+
+
+class InternalError(NamedTuple):
+    """A graph whose solvers failed a witness re-check or a cross-check, in
+    place of its record: a defect in the program, not in the input.
+    ``_asdict()`` is its output record."""
+
+    index: int
+    graph6: str
+    n: int
+    internal_error: str
 
 
 def _not_evaluated(reason: str) -> CheckResult:
@@ -180,14 +195,21 @@ def report_to_dict(report: BoundsReport) -> dict:
     return out
 
 
-def summarize(reports: list[BoundsReport], parse_errors: "list | None" = None) -> dict:
-    """Aggregate counts; associative and order-independent per check."""
+def summarize(
+    reports: "list[BoundsReport | InternalError]", parse_errors: "list | None" = None
+) -> dict:
+    """Aggregate counts; associative and order-independent per check.  The
+    ``internal_errors`` list is present only when some graph has one."""
     per_check = {
         name: {"applicable": 0, "satisfied": 0, "violated": 0, "tight": 0, "not_evaluated": 0}
         for name in CHECK_NAMES
     }
     violations = []
+    internal_errors = []
     for report in reports:
+        if isinstance(report, InternalError):
+            internal_errors.append(report._asdict())
+            continue
         for name in CHECK_NAMES:
             c = report.checks[name]
             stats = per_check[name]
@@ -206,13 +228,16 @@ def summarize(reports: list[BoundsReport], parse_errors: "list | None" = None) -
                 violations.append(
                     {"index": report.index, "graph6": report.graph6, "check": name}
                 )
-    return {
+    summary = {
         "type": "summary",
         "graphs": len(reports),
         "parse_errors": len(parse_errors or []),
         "violations": violations,
         "checks": per_check,
     }
+    if internal_errors:
+        summary["internal_errors"] = internal_errors
+    return summary
 
 
 def parse_corpus(
@@ -233,14 +258,30 @@ def parse_corpus(
     return graphs, errors
 
 
-def map_ordered(worker, payload: list[tuple], jobs: int) -> list:
-    """``[worker(*args) for args in payload]``, over ``jobs`` processes when
-    more than one, with results in input order for any job count."""
+def _guarded(worker, index: int, text: str, graph: Graph, limit: "int | None"):
+    """``worker(index, text, graph, limit)``, or an :class:`InternalError`
+    when it raises ``AssertionError``, so that one graph cannot end a run."""
+    try:
+        return worker(index, text, graph, limit)
+    except AssertionError as exc:
+        return InternalError(index, text, graph.n, str(exc))
+
+
+def map_graphs(worker, graphs: list[tuple[int, str, Graph]], limit: "int | None", jobs: int) -> list:
+    """``worker(lineno, text, graph, limit)`` for each parsed graph, through
+    :func:`_guarded`, over ``jobs`` processes when more than one, with
+    results in input order for any job count."""
+    payload = [(lineno, text, graph, limit) for lineno, text, graph in graphs]
+    run = partial(_guarded, worker)
     if jobs > 1 and len(payload) > 1:
         chunk = max(1, len(payload) // (jobs * 8))
         with multiprocessing.Pool(processes=jobs) as pool:
-            return pool.starmap(worker, payload, chunksize=chunk)
-    return [worker(*args) for args in payload]
+            return pool.starmap(run, payload, chunksize=chunk)
+    return [run(*args) for args in payload]
+
+
+def _verify_worker(index: int, text: str, graph: Graph, limit: "int | None") -> BoundsReport:
+    return verify_graph(graph, index, text, limit)
 
 
 def run_corpus(
@@ -248,15 +289,15 @@ def run_corpus(
     jobs: int = 1,
     budget_limit: "int | None" = None,
     fail_fast: bool = False,
-) -> tuple[list[BoundsReport], list[tuple[int, str, str]], dict]:
+) -> "tuple[list[BoundsReport | InternalError], list[tuple[int, str, str]], dict]":
     """Verify a graph6 stream.
 
     Parsing is sequential; per-graph verification fans out over ``jobs``
     processes with results reassembled in input order, so output is
     byte-identical for any job count.  Returns (reports, parse_errors,
-    summary) where parse errors are (lineno, text, message) triples.
+    summary) where parse errors are (lineno, text, message) triples; a graph
+    that trips an internal check has an :class:`InternalError` in its place.
     """
     graphs, parse_errors = parse_corpus(lines, fail_fast)
-    payload = [(graph, lineno, text, budget_limit) for lineno, text, graph in graphs]
-    reports = map_ordered(verify_graph, payload, jobs)
+    reports = map_graphs(_verify_worker, graphs, budget_limit, jobs)
     return reports, parse_errors, summarize(reports, parse_errors)

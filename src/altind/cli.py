@@ -1,9 +1,15 @@
 """Command-line frontend: analyze / verify / generate / enumerate / oracle.
 
 All subcommands consume graph6 (one graph per line, file or stdin) and emit
-JSON lines or CSV on stdout.  Exit codes: 0 all good, 1 bound violation or
-realization failure, 2 input error, 3 a check was skipped on budget with
---strict.
+JSON lines or CSV on stdout.  Exit codes: 0 all good, 1 bound violation,
+internal error or realization failure, 2 input error, 3 a check was skipped
+on budget with --strict.
+
+A graph whose solvers fail a witness re-check or a cross-check (an internal
+error) gets one record in place of its own, ``{"index", "graph6", "n",
+"internal_error"}`` in JSON and a row whose error columns read ``internal
+error: ...`` in CSV, plus an ``INTERNAL ERROR`` line on stderr; the run goes
+on to the other graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +23,14 @@ import sys
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
-from .bounds import CHECK_NAMES, map_ordered, parse_corpus, report_to_dict, run_corpus
+from .bounds import (
+    CHECK_NAMES,
+    InternalError,
+    map_graphs,
+    parse_corpus,
+    report_to_dict,
+    run_corpus,
+)
 from .constructions import ConstructionError, realize
 from .cycles import cycle_census
 from .decycling import cyclomatic_number, decycling_summary
@@ -69,6 +82,24 @@ def _read_lines(path: str) -> list[str]:
 
 def _emit_json(out, record: dict) -> None:
     out.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def _report_internal_error(error: InternalError) -> None:
+    print(
+        f"INTERNAL ERROR: graph {error.index} ({error.graph6}): {error.internal_error}",
+        file=sys.stderr,
+    )
+
+
+def _internal_error_row(header, error: InternalError) -> list[str]:
+    """A CSV row for ``error``: index, graph6 and n, every column named
+    ``error`` or ``*_error`` holding the message, the rest blank."""
+    known = {"index": error.index, "graph6": error.graph6, "n": error.n}
+    message = f"internal error: {error.internal_error}"
+    return [
+        str(known[k]) if k in known else message if k.endswith("error") else ""
+        for k in header
+    ]
 
 
 def _csv_cell(value) -> str:
@@ -135,22 +166,31 @@ def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
 
 def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
     graphs, parse_errors = parse_corpus(lines, config.fail_fast)
-    payload = [(*item, config.budget_expansions) for item in graphs]
-    records = map_ordered(_analyze_worker, payload, config.jobs)
+    records = map_graphs(_analyze_worker, graphs, config.budget_expansions, config.jobs)
+    internal = [r for r in records if isinstance(r, InternalError)]
 
     if config.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_ANALYZE_FIELDS)
         for record in records:
-            writer.writerow([_csv_cell(record[k]) for k in _ANALYZE_FIELDS])
+            if isinstance(record, InternalError):
+                writer.writerow(_internal_error_row(_ANALYZE_FIELDS, record))
+            else:
+                writer.writerow([_csv_cell(record[k]) for k in _ANALYZE_FIELDS])
     else:
         for record in records:
+            if isinstance(record, InternalError):
+                record = record._asdict()
             _emit_json(out, record)
 
     for lineno, _text, error in parse_errors:
         print(f"line {lineno}: {error}", file=sys.stderr)
+    for error in internal:
+        _report_internal_error(error)
     if parse_errors:
         return EXIT_INPUT
+    if internal:
+        return EXIT_VIOLATION
     if config.strict and any(r["error"] for r in records):
         return EXIT_BUDGET
     return EXIT_OK
@@ -176,6 +216,7 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
         budget_limit=config.budget_expansions,
         fail_fast=config.fail_fast,
     )
+    internal = [r for r in reports if isinstance(r, InternalError)]
 
     if config.fmt == "csv":
         header = ["index", "graph6", "n", "alternating"]
@@ -187,6 +228,9 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for report in reports:
+            if isinstance(report, InternalError):
+                writer.writerow(_internal_error_row(header, report))
+                continue
             rec = report_to_dict(report)
             row = [rec["index"], rec["graph6"], rec["n"], rec["alternating"]]
             for name in CHECK_NAMES:
@@ -195,7 +239,10 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
         print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
     else:
         for report in reports:
-            _emit_json(out, report_to_dict(report))
+            if isinstance(report, InternalError):
+                _emit_json(out, report._asdict())
+            else:
+                _emit_json(out, report_to_dict(report))
         _emit_json(out, summary)
 
     for lineno, _text, error in parse_errors:
@@ -206,10 +253,12 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
             f"fails {violation['check']}",
             file=sys.stderr,
         )
+    for error in internal:
+        _report_internal_error(error)
 
     if parse_errors:
         return EXIT_INPUT
-    if summary["violations"]:
+    if summary["violations"] or internal:
         return EXIT_VIOLATION
     not_evaluated = sum(c["not_evaluated"] for c in summary["checks"].values())
     if config.strict and not_evaluated:

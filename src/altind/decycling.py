@@ -28,6 +28,24 @@ order, whose first hit among sets of one size is the lexicographically
 smallest.  No smaller size has a solution, so that first hit is the
 lexicographically smallest minimum transversal.
 
+For phi each node also has a degree bound.  Deleting a vertex of degree d
+lowers the cyclomatic number e - n + q by at most d - 1 (e drops by d, n by
+one, and q cannot drop).  Let H be the 2-core of G - chosen, which has the
+same cyclomatic number nu(H).  A completion D, drawn from the vertices
+v >= the current one, leaves H - D a forest, so the values deg_H(v) - 1 over
+D sum to at least nu(H): the least k for which the k largest of them reach
+nu(H) is a lower bound on the vertices still needed.  A node prunes when
+either bound exceeds the room left, and the deepening starts at the larger
+of the two at the root.  The bound is about forests, so phi3 does without
+it.  A node computes it only when the packing does not prune and more
+masks are unhit than there is room (otherwise one vertex of each fits);
+an include child peels its 2-core from its parent's, and an exclude child,
+with the same chosen set, reuses its parent's.
+
+Both searches carry the masks still unhit down the recursion as a list in
+index order, filtered at each include child, so the packing and the branch
+choice below walk only those masks.
+
 Minimal transversals: MMCS (Murakami and Uno, "Efficient algorithms for
 dualizing large-scale hypergraphs", DAM 2014).  It grows a set one vertex at
 a time, keeps for every chosen vertex the bitset of cycles that only it hits
@@ -55,7 +73,7 @@ from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
 from .cycles import CycleCensus, cycle_census, is_ternary
-from .graph import Graph, bits, iter_bits
+from .graph import Graph, bits, components_of, induces_forest, iter_bits, two_core
 from .indpoly import _IntEngine, independent_set_count
 
 
@@ -94,49 +112,103 @@ def _incidence(masks: "tuple[int, ...]") -> list[int]:
     return on
 
 
-def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int]:
+def _degree_profile(adj: "tuple[int, ...]", core: int) -> tuple[int, list[tuple[int, int]]]:
+    """``(nu(H), [(deg_H(v) - 1, v) ...] largest first)`` for H = G[core]."""
+    profile = []
+    twice_e = 0
+    for v in iter_bits(core):
+        d = (adj[v] & core).bit_count()
+        twice_e += d
+        profile.append((d - 1, v))
+    profile.sort(reverse=True)
+    return twice_e // 2 - len(profile) + len(components_of(adj, core)), profile
+
+
+def _degree_bound(profile: tuple[int, list[tuple[int, int]]], low: int, room: int) -> int:
+    """Fewest vertices v >= ``low`` of H whose deg_H(v) - 1 sum to nu(H), or
+    ``room + 1`` when more than ``room`` are needed or none suffice."""
+    need, degrees = profile
+    k = 0
+    for d, v in degrees:
+        if need <= 0 or k > room:
+            break
+        if v >= low:
+            need -= d
+            k += 1
+    return k if need <= 0 and k <= room else room + 1
+
+
+def _min_transversal(
+    masks: "tuple[int, ...]", budget: Budget, adj: "tuple[int, ...] | None" = None
+) -> tuple[int, int]:
     """Smallest vertex set meeting every mask: (size, witness mask).
 
-    The witness is lexicographically smallest among minimum solutions.
+    The witness is lexicographically smallest among minimum solutions.  With
+    ``adj``, the adjacency of the graph whose chordless cycles ``masks`` are,
+    every node also applies the degree bound of the module docstring.
     """
     if not masks:
         return 0, 0
     # Short cycles first: the greedy packing then tends to find more of them.
     masks = sorted(masks, key=int.bit_count)
-    on = _incidence(masks)
 
-    def packing(uncov: int, avail: int) -> int:
-        """Greedy count of unhit masks pairwise disjoint within ``avail``;
-        more than any room when some unhit mask has no vertex there."""
-        used = 0
+    def packing(unhit: "list[int]", low: int, room: int) -> "tuple[int, int] | None":
+        """``(count, reach)``: a greedy count of the ``unhit`` masks pairwise
+        disjoint above ``low``, and the union of all their vertices there;
+        None once the count passes ``room`` or a mask has no vertex there."""
+        avail = -1 << low
+        used = reach = 0
         count = 0
-        for i in iter_bits(uncov):
-            m = masks[i] & avail
+        for m in unhit:
+            m &= avail
             if not m:
-                return len(masks) + 1
+                return None
+            reach |= m
             if not m & used:
                 used |= m
                 count += 1
-        return count
+                if count > room:
+                    return None
+        return count, reach
 
-    def search(low: int, chosen: int, uncov: int, room: int) -> "int | None":
+    def search(low, chosen, unhit, room, core, profile):
+        """Include-first search below ``chosen`` (every vertex < ``low``
+        decided) over the masks it leaves ``unhit``, in index order.
+        ``profile`` is the degree profile of ``core``, the 2-core of
+        G - chosen; None at an include child, whose ``core`` is still its
+        parent's, until the packing fails to prune it."""
         budget.spend()
-        if not uncov:
+        if not unhit:
             return chosen
-        if packing(uncov, -1 << low) > room:
+        packed = packing(unhit, low, room)
+        if packed is None:
             return None
-        v = low
-        while not on[v] & uncov:
-            v += 1
-        found = search(v + 1, chosen | 1 << v, uncov & ~on[v], room - 1)
+        # With no more unhit masks than room, one vertex of each fits, so
+        # no bound can prune here or anywhere below.
+        if adj is not None and len(unhit) > room:
+            if profile is None:
+                taken = low - 1
+                core = two_core(adj, core & ~(1 << taken), adj[taken])
+                profile = _degree_profile(adj, core)
+            if _degree_bound(profile, low, room) > room:
+                return None
+        reach = packed[1]
+        bit = reach & -reach
+        v = bit.bit_length() - 1
+        found = search(v + 1, chosen | bit, [m for m in unhit if not m & bit],
+                       room - 1, core, None)
         if found is None:
-            found = search(v + 1, chosen, uncov, room)
+            found = search(v + 1, chosen, unhit, room, core, profile)
         return found
 
-    everything = (1 << len(masks)) - 1
-    k = packing(everything, -1)
+    k, _ = packing(masks, 0, len(masks))
+    core = profile = None
+    if adj is not None and len(masks) > k:
+        core = two_core(adj, (1 << len(adj)) - 1)
+        profile = _degree_profile(adj, core)
+        k = max(k, _degree_bound(profile, 0, len(adj)))
     while True:
-        found = search(0, 0, everything, k)
+        found = search(0, 0, masks, k, core, profile)
         if found is not None:
             return k, found
         k += 1
@@ -152,16 +224,20 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
     """
     on = _incidence(masks)
 
-    def search(chosen: int, value, cand: int, crit: dict[int, int], uncov: int) -> bool:
+    def search(chosen: int, value, cand: int, crit: dict[int, int], uncov: int,
+               unhit: "list[int]") -> bool:
         budget.spend()
         if not uncov:
             return leaf(chosen, value)
-        # Branch on the unhit cycle with the fewest candidate vertices.
+        # Branch on the unhit cycle with the fewest candidate vertices; the
+        # first in index order among ties.
         branch = cand
-        for i in iter_bits(uncov):
-            c = masks[i] & cand
-            if c.bit_count() < branch.bit_count():
+        size = branch.bit_count()
+        for m in unhit:
+            c = m & cand
+            if c.bit_count() < size:
                 branch = c
+                size = c.bit_count()
         cand &= ~branch
         for v in iter_bits(branch):
             hit = on[v]
@@ -170,7 +246,9 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
                 grown = grow(chosen, value, v, uncov & ~hit)
                 if grown is not None:
                     kept[v] = uncov & hit
-                    if search(chosen | 1 << v, grown, cand, kept, uncov & ~hit):
+                    bit = 1 << v
+                    if search(chosen | bit, grown, cand, kept, uncov & ~hit,
+                              [m for m in unhit if not m & bit]):
                         return True
             cand |= 1 << v
         return False
@@ -178,7 +256,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
     universe = 0
     for m in masks:
         universe |= m
-    search(0, 1, universe, {}, (1 << len(masks)) - 1)
+    search(0, 1, universe, {}, (1 << len(masks)) - 1, list(masks))
 
 
 def _minimal_transversal_masks(
@@ -255,8 +333,8 @@ def _min_ternary_mask(g: Graph, ternary: "tuple[int, ...]", budget: Budget) -> i
 
 def _phi_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int]:
     """phi and its witness mask, re-checked to leave a forest."""
-    size, mask = _min_transversal(census.masks, budget)
-    if not g.delete_vertices(mask).is_acyclic():
+    size, mask = _min_transversal(census.masks, budget, g.adj)
+    if not induces_forest(g.adj, g.all_mask & ~mask):
         raise AssertionError("decycling witness failed the acyclicity re-check")
     return size, mask
 

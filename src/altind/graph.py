@@ -159,7 +159,7 @@ class Graph:
 
     def is_acyclic(self) -> bool:
         """Forest test via the edge-count characterization e = n - q."""
-        return self.edge_count() == self.n - self.component_count()
+        return induces_forest(self.adj, self.all_mask)
 
 
 def components_of(adj: tuple[int, ...], mask: int) -> list[int]:
@@ -180,6 +180,29 @@ def components_of(adj: tuple[int, ...], mask: int) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
+
+
+def induces_forest(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether the subgraph induced by ``mask`` is acyclic: e = n - q."""
+    return subgraph_edge_count(adj, mask) == mask.bit_count() - len(components_of(adj, mask))
+
+
+def two_core(adj: tuple[int, ...], mask: int, peel: "int | None" = None) -> int:
+    """The 2-core of the subgraph induced by ``mask``: vertices with at most
+    one neighbour left are stripped until none remains.  When only the
+    vertices of ``peel`` can start out with fewer than two neighbours, pass
+    it and the strip starts from them alone."""
+    if peel is None:
+        peel = mask
+    while peel:
+        low = peel & -peel
+        peel ^= low
+        if low & mask:
+            row = adj[low.bit_length() - 1] & mask
+            if not row & (row - 1):
+                mask ^= low
+                peel |= row
+    return mask
 
 
 def subgraph_edge_count(adj: tuple[int, ...], mask: int) -> int:

@@ -20,25 +20,12 @@ all ``2^n`` vertex subsets and is deliberately unoptimized.
 from __future__ import annotations
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, components_of, iter_bits, subgraph_edge_count
+from .graph import Graph, components_of, iter_bits, subgraph_edge_count, two_core
 
 ORACLE_CAP = 25
 
 
 # -- topology helpers shared by both engines ----------------------------------
-
-
-def _two_core(adj: tuple[int, ...], mask: int) -> int:
-    """Iteratively strip degree <= 1 vertices within ``mask``."""
-    core = mask
-    while True:
-        drop = 0
-        for v in iter_bits(core):
-            if (adj[v] & core).bit_count() <= 1:
-                drop |= 1 << v
-        if not drop:
-            return core
-        core &= ~drop
 
 
 def _on_cycle(adj: tuple[int, ...], core: int, v: int) -> bool:
@@ -65,7 +52,7 @@ def _on_cycle(adj: tuple[int, ...], core: int, v: int) -> bool:
 def _pivot(adj: tuple[int, ...], cmask: int) -> int:
     """Pivot choice: max degree in the component among cycle vertices,
     ties broken by lowest index.  The caller guarantees a cycle exists."""
-    core = _two_core(adj, cmask)
+    core = two_core(adj, cmask)
     candidates = sorted(iter_bits(core), key=lambda v: (-(adj[v] & cmask).bit_count(), v))
     for v in candidates:
         if _on_cycle(adj, core, v):

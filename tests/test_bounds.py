@@ -144,11 +144,11 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: alternating 8, census 33, phi 62, ternary half 37,
+    # Expansions: alternating 11, census 65, phi 188, ternary half 49,
     # hypothesis 0 (a 4-cycle is chordless, so no chord test runs).
-    report = verify_graph(parse_graph6("FUWxw"), budget_limit=50)
+    report = verify_graph(parse_graph6("JK@CpIWPUZ_"), budget_limit=100)
     assert _not_evaluated(report) == {"decycling_bound"}
-    assert report.checks["chain_upper"].bound == 4
+    assert report.checks["chain_upper"].bound == 8
 
 
 def test_blown_ternary_half_marks_only_the_chain():

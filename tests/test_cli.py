@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -208,3 +210,59 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _fail_on_k4(monkeypatch):
+    """Make the phi solve trip its witness re-check on K4 alone."""
+    import altind.bounds
+    import altind.decycling
+
+    solve = altind.decycling._phi_half
+
+    def failing(g, census, budget):
+        if g.edge_count() == 6:
+            raise AssertionError("decycling witness failed the acyclicity re-check")
+        return solve(g, census, budget)
+
+    monkeypatch.setattr(altind.bounds, "_phi_half", failing)
+    monkeypatch.setattr(altind.decycling, "_phi_half", failing)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_internal_error_is_one_record(capsys, tmp_path, monkeypatch, command, jobs):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\nCl\n")
+    argv = [command, "--input", str(corpus), "--jobs", jobs]
+    code, clean, clean_err = run_cli(capsys, argv)
+    assert code == 0 and "internal_errors" not in clean and clean_err == ""
+
+    _fail_on_k4(monkeypatch)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err == (
+        "INTERNAL ERROR: graph 2 (C~): decycling witness failed the acyclicity re-check\n"
+    )
+    records = [json.loads(line) for line in out.splitlines()]
+    expected = [json.loads(line) for line in clean.splitlines()]
+    assert records[1] == {
+        "index": 2,
+        "graph6": "C~",
+        "n": 4,
+        "internal_error": "decycling witness failed the acyclicity re-check",
+    }
+    assert [records[0], records[2]] == [expected[0], expected[2]]
+    if command == "verify":
+        summary = records[3]
+        assert summary["graphs"] == 3 and summary["violations"] == []
+        assert summary["internal_errors"] == [records[1]]
+        assert summary["checks"]["decycling_bound"]["applicable"] == 2
+
+    code, csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert code == 1 and len(rows) == 3
+    errors = {k: v for k, v in rows[1].items() if k.endswith("error")}
+    assert errors and set(errors.values()) == {
+        "internal error: decycling witness failed the acyclicity re-check"
+    }
+    assert (rows[1]["index"], rows[1]["graph6"], rows[1]["n"]) == ("2", "C~", "4")

@@ -21,8 +21,12 @@ from altind import (
     min_decycling,
     min_ternary_decycling,
     minimal_ternary_decycling_sets,
+    parse_graph6,
     path_graph,
 )
+from altind.cycles import cycle_census
+from altind.decycling import _degree_bound, _degree_profile, _min_transversal, _phi_half
+from altind.graph import mask_of, two_core
 
 from conftest import (
     berge_minimal_transversals,
@@ -33,6 +37,7 @@ from conftest import (
     combinations_min_transversal,
     graphs,
     random_graph,
+    random_subdivided,
     relabeled,
     slow_middle_bound,
     subdivided_complete,
@@ -155,6 +160,76 @@ def test_large_universe_matches_subset_oracles():
     assert not truncated
     assert {frozenset(s) for s in sets} == berge_minimal_transversals(tern)
     assert sets == sorted(sets, key=lambda s: (len(s), s))
+
+
+def root_degree_bound(g: Graph) -> int:
+    """The degree bound at the root of the phi search: over the 2-core H of
+    G, the fewest vertices whose deg_H(v) - 1 sum to nu(H)."""
+    return _degree_bound(_degree_profile(g.adj, two_core(g.adj, g.all_mask)), 0, g.n)
+
+
+def test_root_degree_bound_at_most_phi_on_small_graphs():
+    from altind import enumerate_labeled_graphs
+
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            assert root_degree_bound(g) <= min_decycling(g)[0]
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=80, deadline=None)
+def test_root_degree_bound_at_most_phi(g):
+    assert root_degree_bound(g) <= min_decycling(g)[0]
+
+
+def _degree_bound_cases():
+    rng = random.Random(2024)
+    for n in range(8, 15):
+        for p in (0.25, 0.35):
+            yield random_graph(rng, n, p)
+    for _ in range(30):
+        g = random_subdivided(rng)
+        yield g
+        yield relabeled(g, rng)
+
+
+def test_degree_bound_keeps_the_least_minimum_transversal():
+    # An overstated bound prunes a branch holding a minimum transversal and
+    # shows up here as a larger size or a later witness.
+    for g in _degree_bound_cases():
+        cycles = chordless_cycles(g).chordless_cycles
+        assert min_decycling(g) == combinations_min_transversal(cycles)
+
+
+@pytest.mark.parametrize("n, root, phi, expansions", [(4, 2, 2, 3), (5, 2, 3, 9), (6, 3, 4, 16)])
+def test_complete_graphs_deepen_from_the_degree_bound(n, root, phi, expansions):
+    # The packing bound is 1, 1 and 2 here; deepening from it took 8, 18 and
+    # 31 expansions over 2, 3 and 3 depths.  From the degree bound, K4 is
+    # solved at one depth, K5 and K6 at two: their bound, ceil((n - 1) / 2),
+    # sits one below phi.
+    g = complete_graph(n)
+    assert root_degree_bound(g) == root
+    budget = Budget(10**6)
+    assert _min_transversal(cycle_census(g, Budget(10**6)).masks, budget, g.adj) == (
+        phi,
+        (1 << phi) - 1,
+    )
+    assert budget.used == expansions
+
+
+def test_phi_search_on_a_g34_draw_within_budget():
+    # G(34, .12), 64 edges and 1,781 chordless cycles; without the degree
+    # bound the search takes 14,965 expansions, with it 2,799.
+    g = parse_graph6(
+        "a?g????A??C????GO?C?P??g?KC?B?_G???bT?A@W???b???@?@GA?G??????KAAB?@?BG?"
+        "_??_AGO?AcO??OaA?????hA_"
+    )
+    census = cycle_census(g, Budget(10**6))
+    assert len(census.masks) == 1781
+    assert _phi_half(g, census, Budget(5_000)) == (
+        9,
+        mask_of((4, 5, 10, 11, 12, 14, 18, 19, 30)),
+    )
 
 
 MIDDLE_CASES = {
