@@ -51,18 +51,30 @@ from .bounds import (
     summarize,
     verify_graph,
 )
-from .constructions import (
-    ConstructionError,
-    GadgetRecipe,
-    attach_pendant_path,
-    bridge_gadget,
-    build_recipe,
-    doubler_attach,
-    doubler_chain,
-    glue_triangle,
-    realize,
-    sign_flip_extend,
-)
+
+# The constructions serve only ``altind generate`` and library callers, so
+# they load on first access rather than with every CLI process.
+_CONSTRUCTIONS = frozenset({
+    "ConstructionError",
+    "GadgetRecipe",
+    "attach_pendant_path",
+    "bridge_gadget",
+    "build_recipe",
+    "doubler_attach",
+    "doubler_chain",
+    "glue_triangle",
+    "realize",
+    "sign_flip_extend",
+})
+
+
+def __getattr__(name: str):
+    if name in _CONSTRUCTIONS:
+        from . import constructions
+
+        return getattr(constructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

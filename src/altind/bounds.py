@@ -35,8 +35,6 @@ record, and the other graphs still run.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, NamedTuple
 
@@ -56,8 +54,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One bound instance.  applicable is None when the hypothesis test
     itself could not be evaluated; error holds the reason whenever the check
     was not evaluated."""
@@ -69,8 +66,7 @@ class CheckResult:
     error: "str | None" = None
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     index: int
     graph6: str
     n: int
@@ -274,6 +270,9 @@ def map_graphs(worker, graphs: list[tuple[int, str, Graph]], limit: "int | None"
     payload = [(lineno, text, graph, limit) for lineno, text, graph in graphs]
     run = partial(_guarded, worker)
     if jobs > 1 and len(payload) > 1:
+        # Imported here: a serial run never pays for it.
+        import multiprocessing
+
         chunk = max(1, len(payload) // (jobs * 8))
         with multiprocessing.Pool(processes=jobs) as pool:
             return pool.starmap(run, payload, chunksize=chunk)

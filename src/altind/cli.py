@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .bounds import (
@@ -31,7 +30,6 @@ from .bounds import (
     report_to_dict,
     run_corpus,
 )
-from .constructions import ConstructionError, realize
 from .cycles import cycle_census
 from .decycling import cyclomatic_number, decycling_summary
 from .graph import Graph
@@ -46,8 +44,7 @@ EXIT_BUDGET = 3
 ENUMERATE_MAX_N = 6
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed invocation: one subcommand plus the flags it reads; flags a
     subcommand does not take keep their defaults."""
 
@@ -59,10 +56,6 @@ class RunConfig:
     strict: bool = False
     jobs: int = 1
     fail_fast: bool = False
-
-    def __post_init__(self):
-        if self.budget_expansions <= 0 or self.jobs <= 0:
-            raise ValueError("budgets and job counts must be positive")
 
 
 def _read_lines(path: str) -> list[str]:
@@ -270,6 +263,9 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
 
 
 def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe_out: "str | None", out) -> int:
+    # Imported here: no other subcommand builds constructions.
+    from .constructions import ConstructionError, realize
+
     targets = list(range(-(1 << k), (1 << k) + 1)) if sweep else [q]
     results = []
     failures = []
@@ -429,11 +425,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.command == "enumerate":
         return cmd_enumerate(args.n, sys.stdout)
 
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    try:
-        config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
+    if config.budget_expansions <= 0 or config.jobs <= 0:
+        print("budgets and job counts must be positive", file=sys.stderr)
         return EXIT_INPUT
 
     if args.command == "generate":

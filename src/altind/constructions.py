@@ -29,8 +29,8 @@ ternary decycling number is the number of triangle-bearing gadgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .graph import Graph, cycle_graph, empty_graph, path_graph
@@ -81,8 +81,7 @@ _KIND_ORDER = (
 Step = tuple
 
 
-@dataclass(frozen=True)
-class GadgetRecipe:
+class GadgetRecipe(NamedTuple):
     """A replayable build: an ordered step list plus the (k, q) it realizes."""
 
     steps: tuple[Step, ...]

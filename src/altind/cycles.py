@@ -37,15 +37,13 @@ the number of chordless cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .budget import Budget, ensure_budget
 from .graph import Graph, iter_bits, mask_of
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Chordless-cycle census plus the mod-3 classification flags.
 
     ``has_cycle_len_not_div3`` concerns all simple cycles, not only chordless
@@ -57,8 +55,7 @@ class CycleReport:
     has_cycle_len_not_div3: bool
 
 
-@dataclass(frozen=True)
-class CycleCensus:
+class CycleCensus(NamedTuple):
     """Vertex masks of the chordless cycles of one graph, for the solvers.
 
     ``masks`` holds every chordless cycle, ``ternary`` those whose length is
@@ -71,14 +68,15 @@ class CycleCensus:
     ternary: tuple[int, ...]
 
 
-def _chordless_iter(adj: tuple[int, ...], n: int, budget: Budget) -> Iterator[list[int]]:
-    """Yield every chordless cycle once, as a canonical vertex list."""
+def _chordless_iter(adj: tuple[int, ...], alive: int, budget: Budget) -> Iterator[list[int]]:
+    """Yield every chordless cycle of the subgraph induced by ``alive`` once,
+    as a canonical vertex list."""
 
     def extend(path: list[int], mask: int, s: int) -> Iterator[list[int]]:
         budget.spend()
         last = path[-1]
         interior = mask & ~(1 << s) & ~(1 << last)
-        above = -1 << (s + 1)
+        above = alive & (-1 << (s + 1))
         for w in iter_bits(adj[last] & above & ~mask):
             if adj[w] & interior:
                 continue  # chord to an interior path vertex
@@ -88,8 +86,8 @@ def _chordless_iter(adj: tuple[int, ...], n: int, budget: Budget) -> Iterator[li
             else:
                 yield from extend(path + [w], mask | 1 << w, s)
 
-    for s in range(n):
-        for a in iter_bits(adj[s] & (-1 << (s + 1))):
+    for s in iter_bits(alive):
+        for a in iter_bits(adj[s] & alive & (-1 << (s + 1))):
             yield from extend([s, a], (1 << s) | (1 << a), s)
 
 
@@ -144,7 +142,7 @@ def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
     budget = ensure_budget(budget)
     masks: list[int] = []
     ternary: list[int] = []
-    for cyc in _chordless_iter(g.adj, g.n, budget):
+    for cyc in _chordless_iter(g.adj, g.all_mask, budget):
         m = mask_of(cyc)
         masks.append(m)
         if len(cyc) % 3 == 0:
@@ -159,7 +157,7 @@ def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     """
     budget = ensure_budget(budget)
     cycles = tuple(
-        tuple(g.labels[v] for v in cyc) for cyc in _chordless_iter(g.adj, g.n, budget)
+        tuple(g.labels[v] for v in cyc) for cyc in _chordless_iter(g.adj, g.all_mask, budget)
     )
     has3 = any(len(cyc) % 3 == 0 for cyc in cycles)
     not_div3 = any(len(cyc) % 3 for cyc in cycles) or _has_chorded_cycle(
@@ -174,8 +172,14 @@ def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:
     Exhaustive with early exit on the first witness.  It enumerates on its
     own, independently of any census, so it can re-check solver witnesses.
     """
-    budget = ensure_budget(budget)
-    for cyc in _chordless_iter(g.adj, g.n, budget):
+    return _is_ternary_mask(g.adj, g.all_mask, ensure_budget(budget))
+
+
+def _is_ternary_mask(adj: tuple[int, ...], alive: int, budget: Budget) -> bool:
+    """:func:`is_ternary` for the subgraph induced by ``alive``, enumerated
+    in place: the same walk, in the same order, as on that subgraph built
+    and relabeled."""
+    for cyc in _chordless_iter(adj, alive, budget):
         if len(cyc) % 3 == 0:
             return False
     return True

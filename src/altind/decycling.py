@@ -64,21 +64,22 @@ tuple) order.
 
 Witnesses are re-verified with the independent acyclicity/ternary
 predicates, except an empty phi3 witness: re-checking G - {} = G would rerun
-the census's own enumerator on the census's own graph.
+the census's own enumerator on the census's own graph.  The re-checks run on
+vertex masks of G rather than on newly built subgraphs; vertex order is kept
+either way, so the walk and its expansion count are the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
-from .cycles import CycleCensus, cycle_census, is_ternary
+from .cycles import CycleCensus, _is_ternary_mask, cycle_census
 from .graph import Graph, bits, components_of, induces_forest, iter_bits, two_core
-from .indpoly import _IntEngine, independent_set_count
+from .indpoly import _IntEngine
 
 
-@dataclass(frozen=True)
-class DecyclingResult:
+class DecyclingResult(NamedTuple):
     """Decycling invariants of one graph, with verified witnesses."""
 
     phi: int
@@ -311,8 +312,9 @@ def _least_minimal_count(
 
     _mmcs(masks, budget, grow, leaf)
     count, _, _, mask = best
-    # Cross-check the winner on the relabeled induced subgraph.
-    if independent_set_count(g.induced_subgraph(mask), budget=budget) != count:
+    # Cross-check the winner with a fresh engine, whose memo shares nothing
+    # with the one that searched.
+    if _IntEngine(g.adj, 1, budget).eval_mask(mask) != count:
         raise AssertionError("independent-set count mismatch on the middle witness")
     return count, mask
 
@@ -326,7 +328,7 @@ def _min_ternary_mask(g: Graph, ternary: "tuple[int, ...]", budget: Budget) -> i
     if not ternary:
         return 0
     _, mask = _min_transversal(ternary, budget)
-    if not is_ternary(g.delete_vertices(mask), budget=budget):
+    if not _is_ternary_mask(g.adj, g.all_mask & ~mask, budget):
         raise AssertionError("ternary decycling witness failed the ternary re-check")
     return mask
 

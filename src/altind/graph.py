@@ -14,7 +14,6 @@ compare equal when they have the same vertex count and adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -43,37 +42,66 @@ def _as_mask(vertices: "int | Iterable[int]") -> int:
     return vertices if isinstance(vertices, int) else mask_of(vertices)
 
 
-@dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices ``0 .. n-1``.
 
     Immutable after construction; safe to share freely.  ``labels[v]`` is the
     index of ``v`` in the graph this one was derived from (the identity for
-    graphs built directly).
+    graphs built directly).  Equality and hashing ignore ``labels``.
     """
+
+    __slots__ = ("n", "adj", "labels")
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[int, ...] = field(compare=False, default=())
+    labels: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[int, ...] = ()):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(self.n)))
-        elif len(self.labels) != self.n:
+        if not labels:
+            labels = tuple(range(n))
+        elif len(labels) != n:
             raise ValueError("label count does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency of vertex {v} references vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             for u in iter_bits(row):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at edge {u}-{v}")
+        self.__setstate__((n, adj, labels))
+
+    def __getstate__(self):
+        return self.n, self.adj, self.labels
+
+    def __setstate__(self, state):
+        # Stores the fields unchecked.  Unpickling calls this without
+        # __init__: a pickled graph was validated when first built, and
+        # pickles come only from this program's own worker pool.
+        for name, value in zip(Graph.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Graph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r}, labels={self.labels!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

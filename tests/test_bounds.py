@@ -196,7 +196,7 @@ def test_blown_census_record():
 
 
 # The first three have nonempty ternary decycling witnesses, whose re-check
-# runs on a smaller graph; C4, C8 and P5 are ternary, and their empty witness
+# walks G - S; C4, C8 and P5 are ternary, and their empty witness
 # is not re-checked.
 @pytest.mark.parametrize("text", ["C~", "F@Vmw", "E{CG", "Cl", "GhCGKC", "DhC"])
 def test_one_census_per_graph(monkeypatch, text):
@@ -204,10 +204,12 @@ def test_one_census_per_graph(monkeypatch, text):
     calls = []
     enumerate_cycles = altind.cycles._chordless_iter
 
-    def spy(adj, n, budget):
-        if adj == g.adj:
-            calls.append(n)
-        return enumerate_cycles(adj, n, budget)
+    def spy(adj, alive, budget):
+        # The witness re-checks enumerate G - S in place; only a walk over
+        # the whole graph is a census.
+        if adj == g.adj and alive == g.all_mask:
+            calls.append(alive)
+        return enumerate_cycles(adj, alive, budget)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("altind") and hasattr(module, "_chordless_iter"):

@@ -163,26 +163,58 @@ def test_verify_jobs_output_identical(capsys, tmp_path):
 
 
 def test_invalid_budget_rejected(capsys, monkeypatch):
-    code, _, err = run_cli(
-        capsys,
-        ["verify", "--budget-expansions", "0"],
-        stdin="Bw\n",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 2 and "positive" in err
+    for command in ("verify", "analyze"):
+        for flag in ("--budget-expansions", "--jobs"):
+            code, out, err = run_cli(
+                capsys, [command, flag, "0"], stdin="Bw\n", monkeypatch=monkeypatch
+            )
+            assert (code, out, err) == (2, "", "budgets and job counts must be positive\n")
 
 
 def test_import_loads_no_numpy():
-    # Every CLI run pays the package import, and numpy alone would be most of it.
+    # Every CLI run pays the package import before its first graph: numpy
+    # alone would be most of it, and a serial verify or analyze uses neither
+    # the worker pool, the dataclass machinery nor the constructions.
     src = str(Path(altind.__file__).resolve().parents[1])
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, altind; print('numpy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, altind.cli; print(sorted(m for m in ('numpy', 'multiprocessing',"
+            " 'dataclasses', 'altind.constructions') if m in sys.modules))",
+        ],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "[]"
+
+
+def test_construction_names_still_exported():
+    from altind import GadgetRecipe, realize
+    from altind.constructions import GadgetRecipe as recipe_type, realize as realize_fn
+
+    assert (GadgetRecipe, realize) == (recipe_type, realize_fn)
+    assert altind.__all__ == [
+        "Budget", "BudgetExceededError", "DEFAULT_EXPANSIONS", "Graph", "bits",
+        "mask_of", "empty_graph", "path_graph", "cycle_graph", "complete_graph",
+        "disjoint_union", "Graph6Error", "parse_graph6", "to_graph6", "iter_graph6",
+        "parse_edge_list", "format_edge_list", "enumerate_labeled_graphs",
+        "ORACLE_CAP", "independence_polynomial", "alternating_number",
+        "independent_set_count", "oracle_polynomial", "CycleReport",
+        "chordless_cycles", "is_ternary", "has_cycle_length_not_div3",
+        "DecyclingResult", "cyclomatic_number", "min_decycling",
+        "min_ternary_decycling", "minimal_ternary_decycling_sets", "middle_bound",
+        "decycling_summary", "BoundsReport", "CheckResult", "CHECK_NAMES",
+        "InternalError", "verify_graph", "run_corpus", "summarize",
+        "ConstructionError", "GadgetRecipe", "build_recipe", "attach_pendant_path",
+        "sign_flip_extend", "bridge_gadget", "doubler_attach", "glue_triangle",
+        "doubler_chain", "realize",
+    ]
+    assert all(hasattr(altind, name) for name in altind.__all__)
+    with pytest.raises(AttributeError):
+        altind.no_such_name
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "oracle"])

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +129,29 @@ def test_graph_equality_ignores_labels():
     a = cycle_graph(4).delete_vertices([0])
     assert a == path_graph(3)
     assert a.labels != path_graph(3).labels
+    assert hash(a) == hash(path_graph(3))
+    assert a != cycle_graph(3) and a != (a.n, a.adj)
+
+
+def test_graph_is_immutable():
+    g = path_graph(3)
+    for name, value in (("n", 4), ("adj", (0, 0, 0)), ("labels", (2, 1, 0)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        del g.n
+    assert (g.n, g.adj, g.labels) == (3, (2, 5, 2), (0, 1, 2))
+
+
+def test_pickle_keeps_labels_without_validating_again(monkeypatch):
+    # Worker processes receive their graphs pickled; they were validated
+    # when parsed, so restoring them must not pay for it twice.
+    g = cycle_graph(6).delete_vertices([0, 3])
+    data = pickle.dumps(g)
+
+    def no_validation(*args):
+        raise AssertionError("unpickling re-ran the constructor")
+
+    monkeypatch.setattr(Graph, "__init__", no_validation)
+    h = pickle.loads(data)
+    assert h == g and h.labels == g.labels == (1, 2, 4, 5)
