@@ -7,6 +7,16 @@ last vertex and non-adjacent to every interior vertex; adjacency to the start
 closes a cycle.  Each cycle is produced once, in canonical orientation (start
 at the smallest label, second vertex smaller than last).
 
+The walk keeps its own stack instead of recursing: one frame per path vertex
+after the start, holding the path's vertex mask, its interior mask and the
+extensions of the last vertex still to try.  It yields each cycle as its
+vertex mask and length, and the canonical vertex order is read back off the
+mask, since a chordless cycle's vertex set fixes it.  The walk visits cycles
+in depth-first order, extensions in ascending vertex order, and charges one
+expansion per path extension, the two-vertex start path included; the
+reference recursion in the tests yields the same cycles in the same order
+for the same charge.
+
 Whether some simple cycle, chordless or not, has length not divisible by 3
 is decided from the chordless cycles plus a polynomial chord test, without
 walking the simple cycles.  G has such a cycle (call this the claim) iff
@@ -40,7 +50,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, bits, mask_of
 
 
 class CycleReport(NamedTuple):
@@ -68,27 +78,50 @@ class CycleCensus(NamedTuple):
     ternary: tuple[int, ...]
 
 
-def _chordless_iter(adj: tuple[int, ...], alive: int, budget: Budget) -> Iterator[list[int]]:
+def _chordless_iter(adj: tuple[int, ...], alive: int, budget: Budget) -> Iterator[tuple[int, int]]:
     """Yield every chordless cycle of the subgraph induced by ``alive`` once,
-    as a canonical vertex list."""
-
-    def extend(path: list[int], mask: int, s: int) -> Iterator[list[int]]:
-        budget.spend()
-        last = path[-1]
-        interior = mask & ~(1 << s) & ~(1 << last)
+    as ``(vertex mask, length)``; :func:`_cycle_order` recovers its canonical
+    vertex order."""
+    for s in bits(alive):
+        start = 1 << s
         above = alive & (-1 << (s + 1))
-        for w in iter_bits(adj[last] & above & ~mask):
-            if adj[w] & interior:
-                continue  # chord to an interior path vertex
-            if adj[w] >> s & 1:
-                if path[1] < w:
-                    yield path + [w]
-            else:
-                yield from extend(path + [w], mask | 1 << w, s)
+        for a in bits(adj[s] & above):
+            budget.spend()
+            mask = start | 1 << a
+            # One frame per path vertex past s: the path's mask, its interior
+            # (the path without s and its last vertex), and the last vertex's
+            # extensions still to try.
+            stack = [(mask, 0, iter(bits(adj[a] & above & ~mask)))]
+            while stack:
+                mask, interior, todo = stack[-1]
+                for w in todo:
+                    row = adj[w]
+                    if row & interior:
+                        continue  # chord to an interior path vertex
+                    if row & start:
+                        if a < w:
+                            yield mask | 1 << w, len(stack) + 2
+                    else:
+                        budget.spend()
+                        grown = mask | 1 << w
+                        stack.append((grown, mask ^ start, iter(bits(row & above & ~grown))))
+                        break
+                else:
+                    stack.pop()
 
-    for s in iter_bits(alive):
-        for a in iter_bits(adj[s] & alive & (-1 << (s + 1))):
-            yield from extend([s, a], (1 << s) | (1 << a), s)
+
+def _cycle_order(adj: tuple[int, ...], mask: int) -> list[int]:
+    """The vertices of the chordless cycle ``mask`` in canonical orientation:
+    from its smallest vertex, toward the smaller of that vertex's two cycle
+    neighbours."""
+    first = (mask & -mask).bit_length() - 1
+    prev, cur = first, bits(adj[first] & mask)[0]
+    order = [first]
+    while cur != first:
+        order.append(cur)
+        # cur has exactly two neighbours on the cycle; step to the other one.
+        prev, cur = cur, (adj[cur] & mask & ~(1 << prev)).bit_length() - 1
+    return order
 
 
 def _bfs_layers(adj: tuple[int, ...], u: int, v: int, avoid: int = 0) -> "list[int] | None":
@@ -102,7 +135,7 @@ def _bfs_layers(adj: tuple[int, ...], u: int, v: int, avoid: int = 0) -> "list[i
         layers.append(frontier)
         seen |= frontier
         reach = 0
-        for w in iter_bits(frontier):
+        for w in bits(frontier):
             reach |= adj[w]
         if reach >> v & 1:
             return layers
@@ -129,8 +162,8 @@ def _is_chord(adj: tuple[int, ...], u: int, v: int, budget: Budget) -> bool:
 def _has_chorded_cycle(adj: tuple[int, ...], n: int, budget: Budget) -> bool:
     """True when some cycle has a chord (disjunct B of the module docstring)."""
     heavy = mask_of(v for v in range(n) if adj[v].bit_count() >= 3)
-    for u in iter_bits(heavy):
-        for v in iter_bits(adj[u] & heavy & (-1 << (u + 1))):
+    for u in bits(heavy):
+        for v in bits(adj[u] & heavy & (-1 << (u + 1))):
             budget.spend()
             if _is_chord(adj, u, v, budget):
                 return True
@@ -142,10 +175,9 @@ def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
     budget = ensure_budget(budget)
     masks: list[int] = []
     ternary: list[int] = []
-    for cyc in _chordless_iter(g.adj, g.all_mask, budget):
-        m = mask_of(cyc)
+    for m, length in _chordless_iter(g.adj, g.all_mask, budget):
         masks.append(m)
-        if len(cyc) % 3 == 0:
+        if length % 3 == 0:
             ternary.append(m)
     return CycleCensus(tuple(masks), tuple(ternary))
 
@@ -157,7 +189,8 @@ def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     """
     budget = ensure_budget(budget)
     cycles = tuple(
-        tuple(g.labels[v] for v in cyc) for cyc in _chordless_iter(g.adj, g.all_mask, budget)
+        tuple(g.labels[v] for v in _cycle_order(g.adj, m))
+        for m, _ in _chordless_iter(g.adj, g.all_mask, budget)
     )
     has3 = any(len(cyc) % 3 == 0 for cyc in cycles)
     not_div3 = any(len(cyc) % 3 for cyc in cycles) or _has_chorded_cycle(
@@ -179,8 +212,8 @@ def _is_ternary_mask(adj: tuple[int, ...], alive: int, budget: Budget) -> bool:
     """:func:`is_ternary` for the subgraph induced by ``alive``, enumerated
     in place: the same walk, in the same order, as on that subgraph built
     and relabeled."""
-    for cyc in _chordless_iter(adj, alive, budget):
-        if len(cyc) % 3 == 0:
+    for _, length in _chordless_iter(adj, alive, budget):
+        if length % 3 == 0:
             return False
     return True
 

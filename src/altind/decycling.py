@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .cycles import CycleCensus, _is_ternary_mask, cycle_census
-from .graph import Graph, bits, components_of, induces_forest, iter_bits, two_core
+from .graph import Graph, bits, components_of, induces_forest, two_core
 from .indpoly import _IntEngine
 
 
@@ -101,14 +101,14 @@ def cyclomatic_number(g: Graph) -> int:
 
 def _labeled(g: Graph, mask: int) -> tuple[int, ...]:
     """The vertices of ``mask`` in the caller's labels, ascending."""
-    return tuple(g.labels[v] for v in iter_bits(mask))
+    return tuple(g.labels[v] for v in bits(mask))
 
 
 def _incidence(masks: "tuple[int, ...]") -> list[int]:
     """``on[v]``: bitset of the indices of the masks that contain vertex v."""
     on = [0] * max((m.bit_length() for m in masks), default=0)
     for i, m in enumerate(masks):
-        for v in iter_bits(m):
+        for v in bits(m):
             on[v] |= 1 << i
     return on
 
@@ -117,7 +117,7 @@ def _degree_profile(adj: "tuple[int, ...]", core: int) -> tuple[int, list[tuple[
     """``(nu(H), [(deg_H(v) - 1, v) ...] largest first)`` for H = G[core]."""
     profile = []
     twice_e = 0
-    for v in iter_bits(core):
+    for v in bits(core):
         d = (adj[v] & core).bit_count()
         twice_e += d
         profile.append((d - 1, v))
@@ -240,7 +240,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
                 branch = c
                 size = c.bit_count()
         cand &= ~branch
-        for v in iter_bits(branch):
+        for v in bits(branch):
             hit = on[v]
             kept = {u: c & ~hit for u, c in crit.items()}
             if all(kept.values()):

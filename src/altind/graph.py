@@ -6,6 +6,13 @@ deletions and subset tests are single int operations.  Vertex subsets are
 passed around either as plain int bitmasks or as iterables of vertex indices;
 see :func:`mask_of` and :func:`bits`.
 
+:func:`bits` is the one way masks are turned back into vertex indices.  It
+reads 256-entry tables of per-byte position tuples: the table for byte 0 is
+built at import, the shifted tables for higher bytes the first time a mask
+that wide is read, and the per-byte tuples are joined once, so its cost grows
+linearly with the mask's width.  Negative ints are not vertex masks (their
+two's-complement bits never run out) and are rejected.
+
 Induced subgraphs keep a ``labels`` map back to the coordinates of the graph
 they were cut from, so that witness sets computed on a subgraph can always be
 reported in the caller's coordinates.  ``labels`` is metadata: two graphs
@@ -14,7 +21,22 @@ compare equal when they have the same vertex count and adjacency.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import getitem
+from typing import Iterable
+
+
+def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
+    """``table[b]``: the set positions of ``b << offset`` for each byte b."""
+    table: list[tuple[int, ...]] = [()]
+    for p in range(offset, offset + 8):
+        # Bytes with bit p - offset set are those below it plus that bit.
+        table += [t + (p,) for t in table]
+    return tuple(table)
+
+
+# _BYTE_BITS[k] is the table of byte k of a mask.  Only byte 0 is built here.
+_BYTE_BITS = [_byte_table(0)]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -25,17 +47,33 @@ def mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask`` as an ascending tuple."""
-    return tuple(iter_bits(mask))
+    """The set bit positions of ``mask`` as an ascending tuple.
+
+    Read from per-byte tables; the tables for bytes past the first are built
+    on first use.  Up to 8 bytes the tuples are concatenated byte by byte,
+    wider masks join them in one pass.  Raises :class:`ValueError` on a
+    negative ``mask``.
+    """
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"bit positions of a negative int are unbounded: {mask}")
+        return _BYTE_BITS[0][mask]
+    width = (mask.bit_length() + 7) >> 3
+    while len(_BYTE_BITS) < width:
+        _BYTE_BITS.append(_byte_table(8 * len(_BYTE_BITS)))
+    if width > 8:
+        data = mask.to_bytes(width, "little")
+        return tuple(chain.from_iterable(map(getitem, _BYTE_BITS, data)))
+    tables = _BYTE_BITS
+    out = tables[0][mask & 255]
+    mask >>= 8
+    k = 1
+    while mask:
+        out += tables[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return out
 
 
 def _as_mask(vertices: "int | Iterable[int]") -> int:
@@ -71,7 +109,7 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} references vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in iter_bits(row):
+            for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at edge {u}-{v}")
         self.__setstate__((n, adj, labels))
@@ -139,7 +177,7 @@ class Graph:
         out = []
         for v in range(self.n):
             row = self.adj[v] >> (v + 1) << (v + 1)
-            for u in iter_bits(row):
+            for u in bits(row):
                 out.append((v, u))
         return out
 
@@ -161,7 +199,7 @@ class Graph:
         rows = []
         for v in keep:
             row = 0
-            for u in iter_bits(self.adj[v] & mask):
+            for u in bits(self.adj[v] & mask):
                 row |= 1 << index[u]
             rows.append(row)
         return Graph(len(keep), tuple(rows), tuple(self.labels[v] for v in keep))
@@ -200,7 +238,7 @@ def components_of(adj: tuple[int, ...], mask: int) -> list[int]:
         frontier = seed
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
+            for v in bits(frontier):
                 grow |= adj[v]
             grow &= mask & ~comp
             comp |= grow

@@ -25,9 +25,19 @@ class Graph6Error(ValueError):
     """Malformed or unsupported graph6 input."""
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle bit order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+# _pair_order's results by n: one entry per vertex count seen, at most
+# DEFAULT_MAX_N + 1 unless a caller raises max_n.
+_PAIR_ORDERS: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
+    """Upper-triangle bit order: (0,1), (0,2), (1,2), (0,3), ...
+
+    Built once per n and shared, hence a tuple."""
+    order = _PAIR_ORDERS.get(n)
+    if order is None:
+        order = _PAIR_ORDERS[n] = tuple((i, j) for j in range(1, n) for i in range(j))
+    return order
 
 
 def parse_graph6(text: str, max_n: int = DEFAULT_MAX_N) -> Graph:

@@ -20,7 +20,7 @@ all ``2^n`` vertex subsets and is deliberately unoptimized.
 from __future__ import annotations
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, components_of, iter_bits, subgraph_edge_count, two_core
+from .graph import Graph, bits, components_of, subgraph_edge_count, two_core
 
 ORACLE_CAP = 25
 
@@ -38,7 +38,7 @@ def _on_cycle(adj: tuple[int, ...], core: int, v: int) -> bool:
         frontier = seed
         while frontier:
             grow = 0
-            for u in iter_bits(frontier):
+            for u in bits(frontier):
                 grow |= adj[u]
             grow &= rest & ~comp
             comp |= grow
@@ -53,7 +53,7 @@ def _pivot(adj: tuple[int, ...], cmask: int) -> int:
     """Pivot choice: max degree in the component among cycle vertices,
     ties broken by lowest index.  The caller guarantees a cycle exists."""
     core = two_core(adj, cmask)
-    candidates = sorted(iter_bits(core), key=lambda v: (-(adj[v] & cmask).bit_count(), v))
+    candidates = sorted(bits(core), key=lambda v: (-(adj[v] & cmask).bit_count(), v))
     for v in candidates:
         if _on_cycle(adj, core, v):
             return v
@@ -67,7 +67,7 @@ def _tree_order(adj: tuple[int, ...], cmask: int) -> tuple[list[int], dict[int, 
     stack = [root]
     while stack:
         v = stack.pop()
-        for u in iter_bits(adj[v] & cmask):
+        for u in bits(adj[v] & cmask):
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
@@ -83,7 +83,7 @@ def _tree_eval(adj: tuple[int, ...], cmask: int, x: int) -> int:
     for v in reversed(order):
         e_val = 1
         i_val = x
-        for u in iter_bits(adj[v] & cmask):
+        for u in bits(adj[v] & cmask):
             if parent[u] == v:
                 e_val *= excl[u] + incl[u]
                 i_val *= excl[u]
@@ -121,7 +121,7 @@ def _tree_poly(adj: tuple[int, ...], cmask: int) -> list[int]:
     for v in reversed(order):
         e_val = [1]
         i_val = [1]
-        for u in iter_bits(adj[v] & cmask):
+        for u in bits(adj[v] & cmask):
             if parent[u] == v:
                 e_val = _poly_mul(e_val, _poly_add(excl[u], incl[u]))
                 i_val = _poly_mul(i_val, excl[u])

@@ -13,6 +13,15 @@ from hypothesis import strategies as st
 from altind import Graph, independent_set_count, minimal_ternary_decycling_sets
 
 
+def low_bit_positions(mask: int):
+    """Yield the set bit positions of a non-negative ``mask``, lowest first,
+    by clearing its low bit one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -133,6 +142,32 @@ def _has_hamiltonian_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
 
 def brute_has_cycle_not_div3(g: Graph) -> bool:
     return any(length % 3 != 0 for length in brute_simple_cycle_lengths(g))
+
+
+def recursive_chordless_walk(adj, alive, budget):
+    """Yield every chordless cycle of the subgraph induced by ``alive`` as a
+    canonical vertex list, by recursive path extension from the smallest
+    cycle vertex.  The reference for the library's explicit-stack walk: it
+    yields the same cycles in the same order and charges ``budget`` once per
+    path extension."""
+
+    def extend(path, mask, s):
+        budget.spend()
+        last = path[-1]
+        interior = mask & ~(1 << s) & ~(1 << last)
+        above = alive & (-1 << (s + 1))
+        for w in low_bit_positions(adj[last] & above & ~mask):
+            if adj[w] & interior:
+                continue  # chord to an interior path vertex
+            if adj[w] >> s & 1:
+                if path[1] < w:
+                    yield path + [w]
+            else:
+                yield from extend(path + [w], mask | 1 << w, s)
+
+    for s in low_bit_positions(alive):
+        for a in low_bit_positions(adj[s] & alive & (-1 << (s + 1))):
+            yield from extend([s, a], (1 << s) | (1 << a), s)
 
 
 def walk_simple_cycle_lengths(g: Graph):

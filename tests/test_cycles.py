@@ -16,8 +16,16 @@ from altind import (
     has_cycle_length_not_div3,
     is_ternary,
     parse_graph6,
+    mask_of,
     path_graph,
     verify_graph,
+)
+from altind.cycles import (
+    _chordless_iter,
+    _cycle_order,
+    _has_chorded_cycle,
+    _is_ternary_mask,
+    cycle_census,
 )
 
 from conftest import (
@@ -25,7 +33,9 @@ from conftest import (
     brute_has_cycle_not_div3,
     brute_is_ternary,
     graphs,
+    random_graph,
     random_subdivided,
+    recursive_chordless_walk,
     relabeled,
     theta_graph,
     walk_has_cycle_not_div3,
@@ -209,3 +219,75 @@ def test_census_reports_original_labels():
     h = complete_graph(5).induced_subgraph([1, 2, 4])
     (cycle,) = chordless_cycles(h).chordless_cycles
     assert cycle == (1, 2, 4)
+
+
+# -- the explicit-stack walk against the recursive reference -------------------
+
+
+def _assert_walk_matches_recursion(g, alive):
+    """The walk over ``alive`` and its three readers give the recursive
+    walk's cycles, in its order, at its expansion count."""
+    adj = g.adj
+    expected_budget = Budget()
+    expected = list(recursive_chordless_walk(adj, alive, expected_budget))
+    budget = Budget()
+    walked = list(_chordless_iter(adj, alive, budget))
+    assert walked == [(mask_of(c), len(c)) for c in expected]
+    assert [_cycle_order(adj, m) for m, _ in walked] == expected
+    assert budget.used == expected_budget.used
+
+    first_budget = Budget()
+    ternary = True
+    for cycle in recursive_chordless_walk(adj, alive, first_budget):
+        if len(cycle) % 3 == 0:
+            ternary = False
+            break
+    budget = Budget()
+    assert _is_ternary_mask(adj, alive, budget) is ternary
+    assert budget.used == first_budget.used
+
+    if alive != g.all_mask:
+        return
+    budget = Budget()
+    census = cycle_census(g, budget)
+    assert census.masks == tuple(mask_of(c) for c in expected)
+    assert census.ternary == tuple(mask_of(c) for c in expected if len(c) % 3 == 0)
+    assert budget.used == expected_budget.used
+
+    chord_budget = Budget()
+    if all(len(c) % 3 == 0 for c in expected):
+        _has_chorded_cycle(adj, g.n, chord_budget)
+    budget = Budget()
+    report = chordless_cycles(g, budget)
+    assert report.chordless_cycles == tuple(tuple(g.labels[v] for v in c) for c in expected)
+    assert budget.used == expected_budget.used + chord_budget.used
+
+
+def _random_alive(g, rng):
+    """The vertex mask of G - S for a random nonempty S."""
+    return g.all_mask & ~(rng.getrandbits(g.n) | 1 << rng.randrange(g.n))
+
+
+def test_walk_matches_recursion_exhaustively_to_n6():
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            _assert_walk_matches_recursion(g, g.all_mask)
+
+
+def test_walk_matches_recursion_on_random_graphs_and_deletions():
+    rng = random.Random(9)
+    for n in range(7, 23):
+        for p in (0.15, 0.3, 0.5):
+            g = random_graph(rng, n, p if n <= 14 else p / 2)
+            _assert_walk_matches_recursion(g, g.all_mask)
+            _assert_walk_matches_recursion(g, _random_alive(g, rng))
+
+
+def test_walk_matches_recursion_on_subdivided_graphs_and_deletions():
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_subdivided(rng)
+        for h in (g, relabeled(g, rng)):
+            _assert_walk_matches_recursion(h, h.all_mask)
+            if h.n:
+                _assert_walk_matches_recursion(h, _random_alive(h, rng))

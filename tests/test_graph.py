@@ -1,4 +1,6 @@
 import pickle
+import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from altind import Graph, bits, complete_graph, cycle_graph, disjoint_union, empty_graph, mask_of, path_graph
 
-from conftest import graphs
+from conftest import graphs, low_bit_positions
 
 
 def test_from_edges_rejects_loops():
@@ -155,3 +157,37 @@ def test_pickle_keeps_labels_without_validating_again(monkeypatch):
     monkeypatch.setattr(Graph, "__init__", no_validation)
     h = pickle.loads(data)
     assert h == g and h.labels == g.labels == (1, 2, 4, 5)
+
+
+def test_bits_matches_low_bit_loop_on_every_16_bit_mask():
+    for mask in range(1 << 16):
+        assert bits(mask) == tuple(low_bit_positions(mask))
+
+
+def test_bits_matches_low_bit_loop_on_wide_masks():
+    # Up to 626 bytes: every table past byte 0 is built on first use.
+    rng = random.Random(5)
+    for width in list(range(17, 130)) + [500, 1000, 2049, 5008]:
+        for _ in range(3):
+            mask = rng.getrandbits(width) & rng.getrandbits(width) | 1 << (width - 1)
+            assert bits(mask) == tuple(low_bit_positions(mask))
+    assert bits((1 << 5008) - 1) == tuple(range(5008))
+
+
+def test_bits_rejects_negative_masks():
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(ValueError):
+            bits(mask)
+
+
+def test_bits_time_grows_linearly_with_width():
+    # Ten times the width, about ten times the time; clearing one low bit
+    # at a time would copy the whole int per bit, about a hundred times.
+    wide = (1 << 5008) - 1
+    narrow = (1 << 500) - 1
+    bits(wide)
+
+    def best(mask):
+        return min(timeit.repeat(lambda: bits(mask), number=50, repeat=7))
+
+    assert best(wide) <= 15 * best(narrow)
