@@ -181,16 +181,14 @@ def test_import_loads_no_numpy():
             sys.executable,
             "-c",
             "import sys, altind.cli; print(sorted(m for m in ('numpy', 'multiprocessing',"
-            " 'dataclasses', 'altind.constructions') if m in sys.modules),"
-            " len(altind.graph._BYTE_BITS))",
+            " 'dataclasses', 'altind.constructions') if m in sys.modules))",
         ],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    # Only byte 0's bit table is built at import; the others on first use.
-    assert probe.stdout.strip() == "[] 1"
+    assert probe.stdout.strip() == "[]"
 
 
 def test_construction_names_still_exported():
