@@ -30,8 +30,6 @@ class Budget:
             )
 
 
-def ensure_budget(budget: "Budget | None", limit: "int | None" = None) -> Budget:
-    """Return ``budget`` unchanged, or a fresh one with ``limit`` (or the default)."""
-    if budget is not None:
-        return budget
-    return Budget(limit if limit is not None else DEFAULT_EXPANSIONS)
+def ensure_budget(budget: "Budget | None") -> Budget:
+    """Return ``budget`` unchanged, or a fresh default one."""
+    return budget if budget is not None else Budget()

@@ -434,6 +434,9 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.all == (args.q is not None):
             print("generate needs either a target q or --all", file=sys.stderr)
             return EXIT_INPUT
+        if not 1 <= args.k <= config.density_k:
+            print(f"k must be between 1 and --density-k = {config.density_k}", file=sys.stderr)
+            return EXIT_INPUT
         if not args.all and abs(args.q) > 1 << args.k:
             print(f"|q| must be at most 2^k = {1 << args.k}", file=sys.stderr)
             return EXIT_INPUT

@@ -185,18 +185,18 @@ def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
 def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     """Enumerate every chordless cycle and classify lengths mod 3.
 
-    Cycles are reported in the graph's original labels.
+    Cycles are reported in the graph's original labels.  The report is read
+    off one :func:`cycle_census`, plus the chord test when every chordless
+    cycle is ternary.
     """
     budget = ensure_budget(budget)
+    census = cycle_census(g, budget)
     cycles = tuple(
-        tuple(g.labels[v] for v in _cycle_order(g.adj, m))
-        for m, _ in _chordless_iter(g.adj, g.all_mask, budget)
+        tuple(g.labels[v] for v in _cycle_order(g.adj, m)) for m in census.masks
     )
-    has3 = any(len(cyc) % 3 == 0 for cyc in cycles)
-    not_div3 = any(len(cyc) % 3 for cyc in cycles) or _has_chorded_cycle(
-        g.adj, g.n, budget
+    return CycleReport(
+        cycles, bool(census.ternary), _cycle_length_not_div3(g, census, budget)
     )
-    return CycleReport(cycles, has3, not_div3)
 
 
 def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:

@@ -1,17 +1,21 @@
 """Exact independence-polynomial computation.
 
-A polynomial is a plain list of arbitrary-precision ints, ``coeffs[k]`` being
-the number of independent sets of size ``k``; the degree is the independence
-number.  The engine recurses with the vertex identity
+One engine evaluates I(G; x) at a fixed integer x over vertex bitmasks, by
+the vertex identity
 
     I(G; x) = I(G - v; x) + x * I(G - N[v]; x)
 
 pivoting on a maximum-degree vertex that lies on a cycle of the current
-component, multiplies across connected components, short-circuits forest
-components with a tree DP, and memoizes per component bitmask of the
-top-level graph.  Evaluation at a fixed integer point (the alternating number
-at -1, the total count at +1) runs the same recursion over plain ints so no
-polynomial is ever materialized.
+component, multiplying across connected components, short-circuiting forest
+components with a tree DP, and memoizing per component bitmask of the
+top-level graph.  The alternating number is its value at -1, the total count
+its value at +1.
+
+The coefficients, ``coeffs[k]`` the number of independent k-sets, are the
+base-2^(n+1) digits of I(G; 2^(n+1)).  They sum to at most 2^n, so no digit
+carries into the next, and digits read until the value runs out end at the
+independence number.  The width n + 1 rather than n keeps this true for
+n = 0, where I(G; x) = 1 = 2^0.
 
 :func:`oracle_polynomial` is the definition-level reference: it enumerates
 all ``2^n`` vertex subsets and is deliberately unoptimized.
@@ -25,7 +29,7 @@ from .graph import Graph, bits, components_of, subgraph_edge_count, two_core
 ORACLE_CAP = 25
 
 
-# -- topology helpers shared by both engines ----------------------------------
+# -- topology helpers -----------------------------------------------------------
 
 
 def _on_cycle(adj: tuple[int, ...], core: int, v: int) -> bool:
@@ -93,45 +97,7 @@ def _tree_eval(adj: tuple[int, ...], cmask: int, x: int) -> int:
     return excl[root] + incl[root]
 
 
-# -- polynomial arithmetic -----------------------------------------------------
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _tree_poly(adj: tuple[int, ...], cmask: int) -> list[int]:
-    order, parent = _tree_order(adj, cmask)
-    excl: dict[int, list[int]] = {}
-    incl: dict[int, list[int]] = {}
-    for v in reversed(order):
-        e_val = [1]
-        i_val = [1]
-        for u in bits(adj[v] & cmask):
-            if parent[u] == v:
-                e_val = _poly_mul(e_val, _poly_add(excl[u], incl[u]))
-                i_val = _poly_mul(i_val, excl[u])
-        excl[v] = e_val
-        incl[v] = [0] + i_val
-    root = order[0]
-    return _poly_add(excl[root], incl[root])
-
-
-# -- engines -------------------------------------------------------------------
+# -- the engine ----------------------------------------------------------------
 
 
 class _IntEngine:
@@ -171,52 +137,23 @@ class _IntEngine:
         return val
 
 
-class _PolyEngine:
-    """Full coefficient-vector variant of :class:`_IntEngine`."""
-
-    __slots__ = ("adj", "budget", "memo")
-
-    def __init__(self, adj: tuple[int, ...], budget: Budget):
-        self.adj = adj
-        self.budget = budget
-        self.memo: dict[int, list[int]] = {}
-
-    def eval_mask(self, mask: int) -> list[int]:
-        if mask == 0:
-            return [1]
-        result = [1]
-        for comp in components_of(self.adj, mask):
-            result = _poly_mul(result, self.eval_component(comp))
-        return result
-
-    def eval_component(self, cmask: int) -> list[int]:
-        cached = self.memo.get(cmask)
-        if cached is not None:
-            return cached
-        self.budget.spend()
-        size = cmask.bit_count()
-        if size == 1:
-            val = [1, 1]
-        elif subgraph_edge_count(self.adj, cmask) == size - 1:
-            val = _tree_poly(self.adj, cmask)
-        else:
-            v = _pivot(self.adj, cmask)
-            closed = (self.adj[v] | 1 << v) & cmask
-            val = _poly_add(
-                self.eval_mask(cmask ^ (1 << v)),
-                [0] + self.eval_mask(cmask & ~closed),
-            )
-        self.memo[cmask] = val
-        return val
-
-
 # -- public operations -----------------------------------------------------------
 
 
 def independence_polynomial(g: Graph, budget: "Budget | None" = None) -> list[int]:
-    """Exact coefficients of I(G; x); ``coeffs[k]`` counts independent k-sets."""
-    engine = _PolyEngine(g.adj, ensure_budget(budget))
-    return engine.eval_mask(g.all_mask)
+    """Exact coefficients of I(G; x); ``coeffs[k]`` counts independent k-sets.
+
+    Read off I(G; 2^(n+1)) as base-2^(n+1) digits (see the module docstring).
+    """
+    width = g.n + 1
+    engine = _IntEngine(g.adj, 1 << width, ensure_budget(budget))
+    value = engine.eval_mask(g.all_mask)
+    digit = (1 << width) - 1
+    coeffs = []
+    while value:
+        coeffs.append(value & digit)
+        value >>= width
+    return coeffs
 
 
 def alternating_number(g: Graph, budget: "Budget | None" = None) -> int:

@@ -134,6 +134,22 @@ def test_generate_needs_q_or_all(capsys):
     assert code == 2 and "either" in err
 
 
+@pytest.mark.parametrize("argv", [["4", "--all"], ["0", "1"], ["-1", "--all"]])
+def test_generate_k_out_of_range_is_an_input_error(argv):
+    # Run as a process, so an uncaught exception would show as a traceback
+    # on stderr and exit 1.
+    src = str(Path(altind.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "altind", "generate", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "k must be between 1 and --density-k = 3\n"
+
+
 def test_generate_recipe_sidecar(capsys, tmp_path):
     sidecar = tmp_path / "recipes.jsonl"
     code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 
@@ -42,6 +44,8 @@ def test_empty_graph_polynomial():
 
 def test_edgeless_polynomial_is_binomial():
     assert independence_polynomial(empty_graph(4)) == [1, 4, 6, 4, 1]
+    # 62 vertices is graph6's default cap; C(62, 31) is the widest digit.
+    assert independence_polynomial(empty_graph(62)) == [comb(62, k) for k in range(63)]
 
 
 def test_alternating_examples():
@@ -78,9 +82,14 @@ def test_oracle_refuses_large_graphs():
 
 
 def test_engine_equals_oracle_exhaustively_to_n5():
+    # The coefficients come from the alternating number's engine at another
+    # point, so both spend the same expansions.
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            assert independence_polynomial(g) == oracle_polynomial(g)
+            poly_budget, alt_budget = Budget(), Budget()
+            assert independence_polynomial(g, poly_budget) == oracle_polynomial(g)
+            alternating_number(g, alt_budget)
+            assert poly_budget.used == alt_budget.used
 
 
 @given(graphs(max_n=9))
@@ -171,6 +180,13 @@ def test_budget_exhaustion_is_an_error():
         independence_polynomial(g, Budget(2))
     with pytest.raises(BudgetExceededError):
         alternating_number(g, Budget(2))
+
+
+def test_disjoint_triangles_give_a_binomial_power():
+    triangles = empty_graph(0)
+    for _ in range(20):
+        triangles = disjoint_union(triangles, cycle_graph(3))
+    assert independence_polynomial(triangles) == [comb(20, k) * 3**k for k in range(21)]
 
 
 def test_dense_graph_runs_within_default_budget():

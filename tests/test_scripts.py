@@ -1,5 +1,7 @@
-"""Smoke tests: each experiment script runs at its smallest setting."""
+"""Smoke tests: each experiment script runs at its smallest setting, and the
+benchmark's traced pass runs on two graphs."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -40,3 +42,16 @@ def test_bound_gap_survey_counts_cyclomatic_applicability():
 )
 def test_script_runs(name, args):
     run_script(name, *args)
+
+
+def test_benchmark_tracing_harness_runs(monkeypatch):
+    # The benchmark's traced pass imports and calls package internals by
+    # name; run it on two graphs, so a change that breaks it fails here too.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    results, _overhead = tracing.trace_corpus(["Bw", "C~"], tracer)
+    assert len(results) == 2 and all(isinstance(r, dict) for r in results)
+    assert [r["chordless"] for r in results] == [1, 4]
+    metrics, _notes = tracing.per_layer(tracer, results)
+    assert metrics["cycles.chordless"] == (5, "count")
