@@ -2,7 +2,8 @@
 """Survey how often the ternary-decycling chain improves on the older bounds.
 
 For every labeled graph on n vertices, compare 2^phi3 against 2^phi and,
-where applicable, 2^nu - nu, and count strict improvements and ties.
+where applicable, 2^nu - nu, and count strict improvements and ties.  Every
+bound is read off one ``verify_graph`` report per graph.
 
 Usage: python scripts/bound_gap_survey.py [--n 5]
 """
@@ -10,12 +11,7 @@ Usage: python scripts/bound_gap_survey.py [--n 5]
 import argparse
 import sys
 
-from altind import (
-    alternating_number,
-    decycling_summary,
-    enumerate_labeled_graphs,
-    has_cycle_length_not_div3,
-)
+from altind import enumerate_labeled_graphs, verify_graph
 
 
 def main() -> int:
@@ -34,17 +30,19 @@ def main() -> int:
     magnitude_tight = 0
     for g in enumerate_labeled_graphs(args.n):
         total += 1
-        res = decycling_summary(g)
-        alt = abs(alternating_number(g))
-        if res.phi3 < res.phi:
+        report = verify_graph(g)
+        checks = report.checks
+        pow2_phi3 = checks["chain_upper"].bound
+        middle = checks["chain_lower"].bound
+        if pow2_phi3 < checks["decycling_bound"].bound:
             sharper_than_phi += 1
-        if res.middle_bound < 1 << res.phi3:
+        if middle < pow2_phi3:
             middle_beats_pow2 += 1
-        if alt == res.middle_bound:
+        if abs(report.alternating) == middle:
             magnitude_tight += 1
-        if has_cycle_length_not_div3(g):
+        if checks["cyclomatic_bound"].applicable:
             cyclomatic_applicable += 1
-            if 1 << res.phi3 < (1 << res.nu) - res.nu:
+            if pow2_phi3 < checks["cyclomatic_bound"].bound:
                 sharper_than_cyclomatic += 1
 
     print(f"labeled graphs on n={args.n}: {total}")

@@ -11,18 +11,22 @@ For each input graph the verifier evaluates, with exact integers:
   * chain_upper:         that minimum is <= 2^phi3.
 
 The chordless cycles are enumerated once per graph, into a census the
-solvers and the cycle-length hypothesis share.  Five stages run, each under
-its own fresh budget of ``budget_limit`` expansions; one that exhausts it
-marks only the checks that read it "not evaluated":
+solvers and the cycle-length hypothesis share.  ``verify`` and ``analyze``
+run the same four stages plus one of their own, each under its own fresh
+budget of ``budget_limit`` expansions; one that exhausts it marks only the
+checks that read it "not evaluated" and nulls only the analyze fields it
+computes (``error`` names the first such stage, in analyze's order):
 
-  * alternating number:       every check but chain_upper,
-  * cycle census:             every check,
-  * phi solve:                decycling_bound,
-  * ternary half:             chain_lower and chain_upper (phi3, then the
-                              middle bound searched from its witness),
-  * cycle-length hypothesis:  cyclomatic_bound (the census's cycle lengths,
-                              then the polynomial chord test; see
-                              ``cycles``).
+  * cycle census:             every check; ternary and the halves' fields,
+  * alternating number:       every check but chain_upper; alternating,
+  * independent-set count:    (analyze only) independent_sets,
+  * phi solve:                decycling_bound; phi and its witness,
+  * ternary half:             chain_lower and chain_upper; phi3,
+                              middle_bound and their witnesses (phi3, then
+                              the middle bound searched from its witness),
+  * cycle-length hypothesis:  (verify only) cyclomatic_bound (the census's
+                              cycle lengths, then the polynomial chord
+                              test; see ``cycles``).
 
 Hypothesis failure marks a check not applicable, never unsatisfied; a budget
 failure downgrades it to "not evaluated" with the reason recorded.  A
@@ -40,10 +44,10 @@ from typing import Iterable, NamedTuple
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .cycles import _cycle_length_not_div3, cycle_census
-from .decycling import _phi_half, _ternary_half, cyclomatic_number
+from .decycling import _labeled, _phi_half, _ternary_half, cyclomatic_number
 from .graph import Graph
 from .graph6 import iter_graph6
-from .indpoly import alternating_number
+from .indpoly import alternating_number, independent_set_count
 
 CHECK_NAMES = (
     "ternary_unit_bound",
@@ -90,6 +94,28 @@ def _not_evaluated(reason: str) -> CheckResult:
     return CheckResult(applicable=None, error=reason)
 
 
+def _attempt(limit: int, stage: str, fn, *args):
+    """``(fn(*args, budget), None)`` under a fresh budget of ``limit``
+    expansions, or ``(None, reason)`` when the stage exhausts it."""
+    try:
+        return fn(*args, Budget(limit)), None
+    except BudgetExceededError as exc:
+        return None, f"{stage} not evaluated: {exc}"
+
+
+def _stages(g: Graph, limit: int) -> tuple:
+    """The ``(value, reason)`` pairs of the stages verify and analyze share:
+    the alternating number, the census, the phi half and the ternary half,
+    each under its own budget.  A blown census is both halves' reason."""
+    alternating = _attempt(limit, "alternating number", alternating_number, g)
+    census = _attempt(limit, "cycle census", cycle_census, g)
+    if census[1]:
+        return alternating, census, census, census
+    phi = _attempt(limit, "decycling number", _phi_half, g, census[0])
+    ternary = _attempt(limit, "ternary decycling invariants", _ternary_half, g, census[0])
+    return alternating, census, phi, ternary
+
+
 def verify_graph(
     g: Graph,
     index: int = 0,
@@ -99,26 +125,13 @@ def verify_graph(
     """Evaluate every bound in scope on one graph, each stage under its own
     budget of ``budget_limit`` expansions (see the module docstring)."""
     limit = budget_limit if budget_limit is not None else DEFAULT_EXPANSIONS
-
-    def attempt(stage: str, fn, *args):
-        """``(fn(*args, budget), None)``, or ``(None, reason)`` when the
-        stage exhausts its budget."""
-        try:
-            return fn(*args, Budget(limit)), None
-        except BudgetExceededError as exc:
-            return None, f"{stage} not evaluated: {exc}"
-
-    alternating, alt_error = attempt("alternating number", alternating_number, g)
+    ((alternating, alt_error), (census, census_error),
+     (phi_half, phi_error), (ternary_half, ternary_error)) = _stages(g, limit)
     magnitude = None if alternating is None else abs(alternating)
-    census, census_error = attempt("cycle census", cycle_census, g)
-    phi_error = ternary_error = not_div3_error = census_error
-    if census is not None:
-        phi_half, phi_error = attempt("decycling number", _phi_half, g, census)
-        ternary_half, ternary_error = attempt(
-            "ternary decycling invariants", _ternary_half, g, census
-        )
-        not_div3, not_div3_error = attempt(
-            "cycle-length hypothesis", _cycle_length_not_div3, g, census
+    not_div3, not_div3_error = None, census_error
+    if census_error is None:
+        not_div3, not_div3_error = _attempt(
+            limit, "cycle-length hypothesis", _cycle_length_not_div3, g, census
         )
 
     def bounded(applicable: bool, bound: int, value: "int | None") -> CheckResult:
@@ -281,6 +294,51 @@ def map_graphs(worker, graphs: list[tuple[int, str, Graph]], limit: "int | None"
 
 def _verify_worker(index: int, text: str, graph: Graph, limit: "int | None") -> BoundsReport:
     return verify_graph(graph, index, text, limit)
+
+
+_ANALYZE_FIELDS = (
+    "index",
+    "graph6",
+    "n",
+    "e",
+    "q",
+    "nu",
+    "ternary",
+    "alternating",
+    "independent_sets",
+    "phi",
+    "phi_witness",
+    "phi3",
+    "phi3_witness",
+    "middle_bound",
+    "middle_witness",
+    "error",
+)
+
+
+def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
+    """One analyze record: the shared stages plus the independent-set count,
+    each under its own budget.  A field is null only when its own stage ran
+    out; ``error`` is the first such stage's reason."""
+    alternating, census, phi, ternary = _stages(graph, limit)
+    count = _attempt(limit, "independent-set count", independent_set_count, graph)
+    record = dict.fromkeys(_ANALYZE_FIELDS)
+    record.update(
+        index=index, graph6=text, n=graph.n, e=graph.edge_count(),
+        q=graph.component_count(), nu=cyclomatic_number(graph),
+        alternating=alternating[0], independent_sets=count[0],
+        error=next((why for _, why in (census, alternating, count, phi, ternary) if why), None),
+    )
+    if census[0] is not None:
+        record["ternary"] = not census[0].ternary
+    if phi[0] is not None:
+        size, mask = phi[0]
+        record.update(phi=size, phi_witness=list(_labeled(graph, mask)))
+    if ternary[0] is not None:
+        phi3_mask, middle, middle_mask = ternary[0]
+        record.update(phi3=phi3_mask.bit_count(), phi3_witness=list(_labeled(graph, phi3_mask)),
+                      middle_bound=middle, middle_witness=list(_labeled(graph, middle_mask)))
+    return record
 
 
 def run_corpus(

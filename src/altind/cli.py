@@ -19,22 +19,21 @@ import csv
 import io
 import json
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .bounds import (
+    _ANALYZE_FIELDS,
     CHECK_NAMES,
     InternalError,
+    _analyze_worker,
     map_graphs,
     parse_corpus,
     report_to_dict,
     run_corpus,
 )
-from .cycles import cycle_census
-from .decycling import cyclomatic_number, decycling_summary
-from .graph import Graph
 from .graph6 import enumerate_labeled_graphs, to_graph6
-from .indpoly import alternating_number, independent_set_count, oracle_polynomial
+from .indpoly import oracle_polynomial
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -106,55 +105,6 @@ def _csv_cell(value) -> str:
 
 
 # -- analyze -------------------------------------------------------------------
-
-
-_ANALYZE_FIELDS = (
-    "index",
-    "graph6",
-    "n",
-    "e",
-    "q",
-    "nu",
-    "ternary",
-    "alternating",
-    "independent_sets",
-    "phi",
-    "phi_witness",
-    "phi3",
-    "phi3_witness",
-    "middle_bound",
-    "middle_witness",
-    "error",
-)
-
-
-def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
-    record: dict = {
-        "index": index,
-        "graph6": text,
-        "n": graph.n,
-        "e": graph.edge_count(),
-        "q": graph.component_count(),
-        "nu": cyclomatic_number(graph),
-    }
-    try:
-        census = cycle_census(graph, Budget(limit))
-        record["ternary"] = not census.ternary
-        record["alternating"] = alternating_number(graph, Budget(limit))
-        record["independent_sets"] = independent_set_count(graph, Budget(limit))
-        summary = decycling_summary(graph, Budget(limit), census=census)
-        record["phi"] = summary.phi
-        record["phi_witness"] = list(summary.phi_witness)
-        record["phi3"] = summary.phi3
-        record["phi3_witness"] = list(summary.phi3_witness)
-        record["middle_bound"] = summary.middle_bound
-        record["middle_witness"] = list(summary.middle_witness)
-        record["error"] = None
-    except BudgetExceededError as exc:
-        record["error"] = str(exc)
-        for key in _ANALYZE_FIELDS:
-            record.setdefault(key, None)
-    return {key: record[key] for key in _ANALYZE_FIELDS}
 
 
 def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
@@ -262,7 +212,7 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
 # -- generate ------------------------------------------------------------------
 
 
-def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe_out: "str | None", out) -> int:
+def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe_out: "TextIO | None", out) -> int:
     # Imported here: no other subcommand builds constructions.
     from .constructions import ConstructionError, realize
 
@@ -287,10 +237,9 @@ def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe
         }
         for target, graph, recipe in results
     ]
-    if recipe_out:
-        with open(recipe_out, "w", encoding="ascii") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    if recipe_out is not None:
+        for rec in records:
+            recipe_out.write(json.dumps(rec, separators=(",", ":")) + "\n")
         for _target, graph, _recipe in results:
             out.write(to_graph6(graph) + "\n")
     elif config.fmt == "csv":
@@ -365,7 +314,7 @@ _FLAGS = {
     "--format": dict(dest="fmt", choices=("json", "csv"), default="json",
                      help="output format (default json lines)"),
     "--budget-expansions": dict(type=int, default=DEFAULT_EXPANSIONS, metavar="N",
-                                help="search expansion budget per check "
+                                help="search expansion budget per stage "
                                 f"(default {DEFAULT_EXPANSIONS})"),
     "--density-k": dict(type=int, default=3, metavar="K",
                         help="largest ternary decycling number (default 3)"),
@@ -440,7 +389,15 @@ def main(argv: "list[str] | None" = None) -> int:
         if not args.all and abs(args.q) > 1 << args.k:
             print(f"|q| must be at most 2^k = {1 << args.k}", file=sys.stderr)
             return EXIT_INPUT
-        return cmd_generate(config, args.k, args.q, args.all, args.recipe_out, sys.stdout)
+        if args.recipe_out is None:
+            return cmd_generate(config, args.k, args.q, args.all, None, sys.stdout)
+        try:
+            recipe_out = open(args.recipe_out, "w", encoding="ascii")
+        except OSError as exc:
+            print(f"cannot write {args.recipe_out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        with recipe_out:
+            return cmd_generate(config, args.k, args.q, args.all, recipe_out, sys.stdout)
 
     try:
         lines = _read_lines(config.input)

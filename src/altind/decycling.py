@@ -404,18 +404,11 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
     return best, _labeled(g, best_mask)
 
 
-def decycling_summary(
-    g: Graph,
-    budget: "Budget | None" = None,
-    census: "CycleCensus | None" = None,
-) -> DecyclingResult:
-    """phi, phi3, nu and the middle bound from one chordless-cycle census.
-
-    The census is taken under ``budget`` unless the caller passes one.
-    """
+def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResult:
+    """phi, phi3, nu and the middle bound from one chordless-cycle census,
+    all under ``budget``."""
     budget = ensure_budget(budget)
-    if census is None:
-        census = cycle_census(g, budget)
+    census = cycle_census(g, budget)
     phi, phi_mask = _phi_half(g, census, budget)
     phi3_mask, mid, mid_mask = _ternary_half(g, census, budget)
     return DecyclingResult(

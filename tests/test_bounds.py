@@ -152,11 +152,64 @@ def test_blown_phi_solve_marks_only_decycling_bound():
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: census 6, phi 8, ternary half 21, hypothesis 2 (one edge
+    # Expansions: census 6, phi 3, ternary half 21, hypothesis 2 (one edge
     # tried, one separation test).
     report = verify_graph(complete_graph(4), budget_limit=10)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
+
+
+def test_blown_ternary_half_nulls_only_its_analyze_fields():
+    # Expansions: alternating 3, count 3, census 6, phi 3, ternary half 21.
+    rec = _analyze_worker(1, "C~", complete_graph(4), 10)
+    assert rec == {
+        "index": 1,
+        "graph6": "C~",
+        "n": 4,
+        "e": 6,
+        "q": 1,
+        "nu": 3,
+        "ternary": False,
+        "alternating": -3,
+        "independent_sets": 5,
+        "phi": 2,
+        "phi_witness": [0, 1],
+        "phi3": None,
+        "phi3_witness": None,
+        "middle_bound": None,
+        "middle_witness": None,
+        "error": "ternary decycling invariants not evaluated: instance too large: "
+        "expansion budget of 10 exhausted",
+    }
+
+
+@pytest.mark.parametrize("limit", [DEFAULT_EXPANSIONS, 20, 30, 60])
+def test_verify_and_analyze_agree(limit):
+    # Each analyze field reads the same stage as a verify check: it is null
+    # exactly when that check is not evaluated, and where both are evaluated
+    # they meet the benchmark gate's equalities.  At 20, D^_'s phi solve (6
+    # expansions) and ternary half (15) each fit a budget, but not one shared.
+    paired = {
+        "ternary": "ternary_unit_bound",
+        "phi": "decycling_bound",
+        "phi3": "chain_lower",
+        "middle_bound": "chain_lower",
+    }
+    for g in (g for n in range(6) for g in enumerate_labeled_graphs(n)):
+        text = to_graph6(g)
+        report = verify_graph(g, budget_limit=limit)
+        checks = report.checks
+        rec = _analyze_worker(0, text, g, limit)
+        assert rec["alternating"] == report.alternating, text
+        for field, name in paired.items():
+            assert (rec[field] is None) == (checks[name].error is not None), (text, field)
+        if rec["ternary"] is not None:
+            assert checks["ternary_unit_bound"].applicable == rec["ternary"], text
+        if rec["phi"] is not None:
+            assert checks["decycling_bound"].bound == 1 << rec["phi"], text
+        if rec["phi3"] is not None:
+            assert checks["chain_lower"].bound == rec["middle_bound"], text
+            assert checks["chain_upper"].bound == 1 << rec["phi3"], text
 
 
 def test_twice_subdivided_k7_hypothesis_within_budget():

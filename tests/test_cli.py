@@ -161,6 +161,23 @@ def test_generate_recipe_sidecar(capsys, tmp_path):
     assert record["steps"] == [["base", "C3"]]
 
 
+def test_generate_unwritable_recipe_out_is_an_input_error(tmp_path):
+    # Run as a process, so an uncaught exception would show as a traceback;
+    # the sidecar is opened before any target is realized.
+    src = str(Path(altind.__file__).resolve().parents[1])
+    target = tmp_path / "missing" / "x.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "altind", "generate", "1", "--all", "--recipe-out", str(target)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"cannot write {target}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_oracle_subcommand(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["oracle"], stdin="Bw\n", monkeypatch=monkeypatch)
     assert code == 0

@@ -28,9 +28,14 @@ def run_script(name: str, *args: str) -> str:
 
 
 def test_bound_gap_survey_counts_cyclomatic_applicability():
-    # 191 of the 488 labeled graphs on 5 vertices with a cycle length not
-    # divisible by 3 have 2^phi3 below 2^nu - nu.
-    assert "191 of 488" in run_script("bound_gap_survey.py", "--n", "5")
+    # Of the 1,024 labeled graphs on 5 vertices, 142 have 2^phi3 below 2^phi,
+    # 66 a middle bound below 2^phi3 and 163 |I(G;-1)| equal to it; of the
+    # 488 with a cycle length not divisible by 3, 191 have 2^phi3 below
+    # 2^nu - nu.
+    lines = run_script("bound_gap_survey.py", "--n", "5").splitlines()
+    assert len(lines) == 5
+    assert [line.split()[-1] for line in lines[:4]] == ["1024", "142", "66", "163"]
+    assert lines[4].endswith("191 of 488")
 
 
 @pytest.mark.parametrize(
