@@ -389,6 +389,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if not args.all and abs(args.q) > 1 << args.k:
             print(f"|q| must be at most 2^k = {1 << args.k}", file=sys.stderr)
             return EXIT_INPUT
+        if args.recipe_out is not None and config.fmt == "csv":
+            print("--recipe-out prints bare graph6 lines and takes no --format csv",
+                  file=sys.stderr)
+            return EXIT_INPUT
         if args.recipe_out is None:
             return cmd_generate(config, args.k, args.q, args.all, None, sys.stdout)
         try:

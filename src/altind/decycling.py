@@ -57,10 +57,28 @@ minimal, and each minimal set is emitted once.
 Middle bound: the same MMCS walk, pruned by the independent-set count.  The
 count of G[S] never decreases as S grows, and MMCS only grows S along a
 branch, so a partial set that already counts more than the best minimal set
-found cannot lead to a better one.  The bound starts at the count of the
-phi3 witness: it is minimum, hence minimal, hence a candidate.  Ties are
-never cut, so the witness is still the first attaining set in (size, vertex
-tuple) order.
+found cannot lead to a better one.  The ternary masks first split into
+parts, the components of G[U] for U their union, and each part is searched
+on its own:
+
+  * every chordless cycle is connected, so its mask lies in one part;
+  * a set is a minimal transversal iff it is a union of one minimal
+    transversal per part, since a vertex hits only masks of its own part;
+  * no edge joins two parts, so i(G[D]) is the product of the parts' counts,
+    and the least product takes the least count in every part;
+  * the first set in (count, size, vertex tuple) order is the union of each
+    part's first set: at fixed sizes per part, the smallest vertex of the
+    symmetric difference of two such unions decides their order, and it lies
+    in one part.
+
+Each part's bound starts at the count of the phi3 witness restricted to
+it, the part's lexicographically smallest minimum transversal (a minimum
+transversal of all masks is one per part, and the lexicographic argument
+above applies).  While that seed is the best, a partial set whose count
+reaches the seed's is cut: any other set with the same count comes later,
+being larger, or of the same size and lexicographically later.  Once a
+smaller count replaces the seed, only a count above the best is cut, so the
+witness is still the first attaining set in (size, vertex tuple) order.
 
 Witnesses are re-verified with the independent acyclicity/ternary
 predicates, except an empty phi3 witness: re-checking G - {} = G would rerun
@@ -282,36 +300,78 @@ def _minimal_transversal_masks(
     return (found[:cap] if truncated else found), truncated
 
 
-def _least_minimal_count(
-    g: Graph, masks: "tuple[int, ...]", seed: int, budget: Budget
-) -> tuple[int, int]:
+def _least_part_count(engine: _IntEngine, masks: "list[int]", seed: int) -> tuple[int, int]:
     """Fewest independent sets of G[D] over the minimal transversals D of
-    ``masks``, and the first D attaining it in (size, vertex tuple) order.
+    ``masks``, one part of the ternary masks, and the first D attaining it in
+    (count, size, vertex tuple) order.
 
     MMCS carries i(S), the independent-set count of G[S], as
     i(S + v) = i(S) + i(S - N(v)).  Each vertex added raises i(S) by at least
     one (its own singleton), so every transversal below S counts at least
-    i(S), and at least i(S) + 1 while some mask is still unhit.  A branch is
-    cut once that exceeds the best count found, which starts at the count of
-    ``seed``, itself a minimal transversal.  Equal counts are never cut, so
-    every set attaining the minimum is reached and the tie-break sees them
-    all.  One engine serves every count: its memo is keyed by component masks
-    of g, which mean the same subgraph whichever set reached them.
+    i(S), and at least i(S) + 1 while some mask is still unhit.  The best
+    starts at ``seed``, the part's lexicographically smallest minimum
+    transversal, which is minimal.  Any other set with the seed's count
+    comes after it, being larger or of the same size and lexicographically
+    later, so while the seed is best a branch is cut once its bound reaches
+    the seed's count.  Once a smaller count replaces the seed, a branch is
+    cut only when its bound exceeds the best count, so every set attaining
+    the minimum is reached and the tie-break sees them all.
     """
-    engine = _IntEngine(g.adj, 1, budget)
     best = (engine.eval_mask(seed), seed.bit_count(), bits(seed), seed)
+    # Cut a branch whose bound exceeds ``limit``: one below the seed's count
+    # while the seed is best, the best count after.
+    limit = best[0] - 1
 
     def grow(chosen: int, count: int, v: int, uncov: int) -> "int | None":
-        count += engine.eval_mask(chosen & ~g.adj[v])
-        return None if count + (uncov != 0) > best[0] else count
+        count += engine.eval_mask(chosen & ~engine.adj[v])
+        return None if count + (uncov != 0) > limit else count
 
     def leaf(chosen: int, count: int) -> bool:
-        nonlocal best
+        nonlocal best, limit
         best = min(best, (count, chosen.bit_count(), bits(chosen), chosen))
+        limit = best[0]
         return False
 
-    _mmcs(masks, budget, grow, leaf)
-    count, _, _, mask = best
+    _mmcs(masks, engine.budget, grow, leaf)
+    return best[0], best[3]
+
+
+def _least_minimal_count(
+    g: Graph, masks: "tuple[int, ...]", seed: int, budget: Budget
+) -> tuple[int, int]:
+    """Fewest independent sets of G[D] over the minimal transversals D of
+    ``masks``, and the first D attaining it in (count, size, vertex tuple)
+    order.  ``seed`` is the lexicographically smallest minimum transversal.
+
+    The masks split into parts, the components of G[U] for U the union of
+    the masks, and :func:`_least_part_count` searches each part from
+    ``seed`` restricted to it, which is that part's lexicographically
+    smallest minimum transversal.  This is exact because:
+
+      * each mask, a connected chordless cycle, lies inside one part;
+      * the minimal transversals are the unions of one per part, as a vertex
+        hits only masks of its own part;
+      * no edge joins two parts, so the count of a union is the product of
+        its parts' counts, least when each part's count is least;
+      * the union of each part's first set is first overall, since the
+        smallest vertex where two unions of equal part sizes differ lies in
+        one part.
+
+    Every part runs on one engine under ``budget``: its memo is keyed by
+    component masks of g, which mean the same subgraph whichever set or
+    part reached them.
+    """
+    union = 0
+    for m in masks:
+        union |= m
+    engine = _IntEngine(g.adj, 1, budget)
+    count, mask = 1, 0
+    for part in components_of(g.adj, union):
+        part_count, part_mask = _least_part_count(
+            engine, [m for m in masks if m & part], seed & part
+        )
+        count *= part_count
+        mask |= part_mask
     # Cross-check the winner with a fresh engine, whose memo shares nothing
     # with the one that searched.
     if _IntEngine(g.adj, 1, budget).eval_mask(mask) != count:
@@ -397,7 +457,8 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
 
     The minimum is attained at an inclusion-minimal D because every
     independent set of G[D] is one of G[D'] whenever D is contained in D'.
-    Returns the count and a lexicographically-smallest attaining witness.
+    Returns the count and the attaining witness first in (size, vertex
+    tuple) order.
     """
     budget = ensure_budget(budget)
     _, best, best_mask = _ternary_half(g, cycle_census(g, budget), budget)

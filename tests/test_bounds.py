@@ -144,7 +144,7 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: alternating 11, census 65, phi 188, ternary half 49,
+    # Expansions: alternating 11, census 65, phi 188, ternary half 40,
     # hypothesis 0 (a 4-cycle is chordless, so no chord test runs).
     report = verify_graph(parse_graph6("JK@CpIWPUZ_"), budget_limit=100)
     assert _not_evaluated(report) == {"decycling_bound"}
@@ -152,7 +152,7 @@ def test_blown_phi_solve_marks_only_decycling_bound():
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: census 6, phi 3, ternary half 21, hypothesis 2 (one edge
+    # Expansions: census 6, phi 3, ternary half 12, hypothesis 2 (one edge
     # tried, one separation test).
     report = verify_graph(complete_graph(4), budget_limit=10)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
@@ -160,7 +160,7 @@ def test_blown_ternary_half_marks_only_the_chain():
 
 
 def test_blown_ternary_half_nulls_only_its_analyze_fields():
-    # Expansions: alternating 3, count 3, census 6, phi 3, ternary half 21.
+    # Expansions: alternating 3, count 3, census 6, phi 3, ternary half 12.
     rec = _analyze_worker(1, "C~", complete_graph(4), 10)
     assert rec == {
         "index": 1,
@@ -188,7 +188,7 @@ def test_verify_and_analyze_agree(limit):
     # Each analyze field reads the same stage as a verify check: it is null
     # exactly when that check is not evaluated, and where both are evaluated
     # they meet the benchmark gate's equalities.  At 20, D^_'s phi solve (6
-    # expansions) and ternary half (15) each fit a budget, but not one shared.
+    # expansions) and ternary half (13) each fit a budget, but not one shared.
     paired = {
         "ternary": "ternary_unit_bound",
         "phi": "decycling_bound",

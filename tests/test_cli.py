@@ -178,6 +178,24 @@ def test_generate_unwritable_recipe_out_is_an_input_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_generate_recipe_out_rejects_csv(tmp_path):
+    # --recipe-out fixes stdout to bare graph6 lines, so --format csv would
+    # be ignored; it is refused before the sidecar is opened.
+    src = str(Path(altind.__file__).resolve().parents[1])
+    target = tmp_path / "r.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "altind", "generate", "1", "-2",
+         "--recipe-out", str(target), "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not target.exists()
+
+
 def test_oracle_subcommand(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["oracle"], stdin="Bw\n", monkeypatch=monkeypatch)
     assert code == 0

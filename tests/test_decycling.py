@@ -46,6 +46,9 @@ from conftest import (
 TWO_TRIANGLES_BRIDGED = Graph.from_edges(
     6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 )
+TWO_TRIANGLES_THROUGH_A_VERTEX = Graph.from_edges(
+    7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 6), (6, 3)]
+)
 
 
 def test_cyclomatic_examples():
@@ -89,6 +92,8 @@ def test_middle_bound_examples():
     assert middle_bound(cycle_graph(4)) == (1, ())
     assert middle_bound(cycle_graph(3)) == (2, (0,))
     assert middle_bound(disjoint_union(cycle_graph(3), cycle_graph(3))) == (4, (0, 3))
+    assert middle_bound(TWO_TRIANGLES_BRIDGED) == (3, (2, 3))
+    assert middle_bound(TWO_TRIANGLES_THROUGH_A_VERTEX) == (4, (0, 3))
 
 
 def test_empty_graph_summary():
@@ -238,6 +243,16 @@ MIDDLE_CASES = {
     "k5-sub2": subdivided_complete(5, 2),
     "k5-sub2-relabeled": relabeled(subdivided_complete(5, 2), random.Random(5)),
     "doubler6": doubler_chain(6)[0],
+    # The ternary masks split into parts, the components of G[U] for U their
+    # union; the edge-joined triangles are one part, since the edge (2, 3)
+    # makes the count of {2, 3} 3, not 2 * 2.
+    "triangles-edge": TWO_TRIANGLES_BRIDGED,
+    "triangles-path": TWO_TRIANGLES_THROUGH_A_VERTEX,
+    "k4-c6-relabeled": relabeled(disjoint_union(complete_graph(4), cycle_graph(6)), random.Random(3)),
+    "doubler3-relabeled": relabeled(doubler_chain(3)[0], random.Random(3)),
+    # A count below the seed's is found at {0, 6}, then tied by the earlier
+    # {0, 3}: once the seed is replaced, ties are no longer cut.
+    "tie-after-seed": parse_graph6("Ffol_"),
 }
 
 
@@ -248,6 +263,16 @@ def test_pruned_middle_search_matches_full_enumeration(name):
     assert middle_bound(g) == expected
     res = decycling_summary(g)
     assert (res.middle_bound, res.middle_witness) == expected
+
+
+def test_doubler_chain_middle_search_is_linear():
+    # All 3^9 minimal sets count 2^9.  Each of the nine parts is solved on
+    # its own, and ties with the phi3 seed are cut: 273 expansions, against
+    # 29,804 for one search that visits every tie.
+    assert middle_bound(doubler_chain(9)[0], Budget(1_000)) == (
+        512,
+        (0, 4, 11, 18, 25, 32, 39, 46, 53),
+    )
 
 
 def test_k6_twice_subdivided_within_budget():

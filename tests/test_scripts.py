@@ -42,7 +42,7 @@ def test_bound_gap_survey_counts_cyclomatic_applicability():
     "name, args",
     [
         ("verify_small_corpus.py", ("--max-n", "4")),
-        ("realize_density_targets.py", ("--max-k", "1")),
+        ("realize_density_targets.py", ("--max-k", "2")),
     ],
 )
 def test_script_runs(name, args):
