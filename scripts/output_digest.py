@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Digest what the corpus subcommands print, to compare two versions of altind.
+
+Usage: python3 scripts/output_digest.py SRC [WORKLOAD ...]
+
+SRC is the ``src`` directory of the version to run.  A WORKLOAD is one of the
+benchmark's workloads, built by ``python3 perfbench/corpus.py WORKLOAD 7``;
+``enumerate-6``, every labeled graph on 6 vertices from ``altind enumerate
+6``; or ``malformed``, a short corpus with blank, malformed and non-ASCII
+lines.  The default is all of them.  On each corpus it runs ``verify`` and
+``analyze`` in JSON and CSV at ``--jobs 1`` and ``2``, with ``--fail-fast``,
+and at budgets of 20 and 30 expansions with ``--strict``; on the corpora of
+small graphs it also runs ``oracle`` in JSON and CSV.  It prints one line per
+run, ``WORKLOAD<TAB>ARGS<TAB>sha256`` of stdout, stderr and the exit code,
+plus one line with the corpus's own digest.  Two versions then compare with
+
+    python3 scripts/output_digest.py A/src > a.txt
+    python3 scripts/output_digest.py B/src > b.txt
+    diff a.txt b.txt
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_WORKLOADS = ("labeled-n6", "gnp-table", "gnp-branch", "adversarial")
+WORKLOADS = (*BENCH_WORKLOADS, "enumerate-6", "malformed")
+SEED = "7"
+MALFORMED = b"Bw\n\nC~\nnot graph6!\n\xff\nDhC\n\n@\nCl\nC~~\n"
+# The oracle enumerates all 2^n vertex subsets, so it runs on these alone.
+SMALL_GRAPHS = ("labeled-n6", "enumerate-6", "malformed")
+
+
+def run(src: str, args: "list[str]") -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=600,
+    )
+
+
+def corpus(src: str, workload: str) -> bytes:
+    if workload == "malformed":
+        return MALFORMED
+    if workload == "enumerate-6":
+        proc = run(src, ["-m", "altind", "enumerate", "6"])
+    else:
+        proc = run(src, [str(ROOT / "perfbench" / "corpus.py"), workload, SEED])
+    if proc.returncode:
+        sys.exit(f"cannot build {workload}: {proc.stderr.decode(errors='replace')}")
+    return proc.stdout
+
+
+def runs(workload: str):
+    for command in ("verify", "analyze"):
+        for fmt in ("json", "csv"):
+            for jobs in ("1", "2"):
+                yield [command, "--format", fmt, "--jobs", jobs]
+        yield [command, "--fail-fast"]
+        for budget in ("20", "30"):
+            yield [command, "--budget-expansions", budget, "--strict"]
+    if workload in SMALL_GRAPHS:
+        for fmt in ("json", "csv"):
+            yield ["oracle", "--format", fmt]
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def main() -> int:
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    src = str(Path(sys.argv[1]).resolve())
+    workloads = sys.argv[2:] or WORKLOADS
+    for workload in workloads:
+        if workload not in WORKLOADS:
+            sys.exit(f"unknown workload {workload!r}; choose from {', '.join(WORKLOADS)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            data = corpus(src, workload)
+            path = Path(tmp) / f"{workload}.g6"
+            path.write_bytes(data)
+            print(f"{workload}\tcorpus\t{digest(data)}", flush=True)
+            for args in runs(workload):
+                proc = run(src, ["-m", "altind", *args, "--input", str(path)])
+                line = digest(proc.returncode, proc.stdout, proc.stderr)
+                print(f"{workload}\t{' '.join(args)}\t{line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -35,12 +35,17 @@ counterexample to a proved statement, and is surfaced loudly by the callers.
 So is an ``AssertionError`` from a witness re-check or an engine cross-check:
 over a corpus it becomes an :class:`InternalError` in place of that graph's
 record, and the other graphs still run.
+
+Every corpus run (``run_corpus``, and ``verify``, ``analyze`` and ``oracle``
+in the CLI) takes one path: the whole input is parsed first, then each
+graph's record is yielded as it finishes, in input order for any job count,
+so memory holds the parsed input but not the records.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .cycles import _cycle_length_not_div3, cycle_census
@@ -205,17 +210,20 @@ def report_to_dict(report: BoundsReport) -> dict:
 
 
 def summarize(
-    reports: "list[BoundsReport | InternalError]", parse_errors: "list | None" = None
+    reports: "Iterable[BoundsReport | InternalError]", parse_errors: "list | None" = None
 ) -> dict:
-    """Aggregate counts; associative and order-independent per check.  The
-    ``internal_errors`` list is present only when some graph has one."""
+    """Aggregate counts in one pass over ``reports``; associative and
+    order-independent per check.  The ``internal_errors`` list is present
+    only when some graph has one."""
     per_check = {
         name: {"applicable": 0, "satisfied": 0, "violated": 0, "tight": 0, "not_evaluated": 0}
         for name in CHECK_NAMES
     }
     violations = []
     internal_errors = []
+    graphs = 0
     for report in reports:
+        graphs += 1
         if isinstance(report, InternalError):
             internal_errors.append(report._asdict())
             continue
@@ -239,7 +247,7 @@ def summarize(
                 )
     summary = {
         "type": "summary",
-        "graphs": len(reports),
+        "graphs": graphs,
         "parse_errors": len(parse_errors or []),
         "violations": violations,
         "checks": per_check,
@@ -249,47 +257,51 @@ def summarize(
     return summary
 
 
-def parse_corpus(
-    lines: Iterable[str], fail_fast: bool = False
-) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str, str]]]:
-    """Split a graph6 stream into ``(lineno, text, graph)`` triples and
-    ``(lineno, text, message)`` parse errors; ``fail_fast`` stops at the
-    first error."""
-    graphs: list[tuple[int, str, Graph]] = []
-    errors: list[tuple[int, str, str]] = []
-    for lineno, text, graph, error in iter_graph6(lines):
-        if error is not None:
-            errors.append((lineno, text, error))
-            if fail_fast:
-                break
-            continue
-        graphs.append((lineno, text, graph))
-    return graphs, errors
-
-
-def _guarded(worker, index: int, text: str, graph: Graph, limit: "int | None"):
-    """``worker(index, text, graph, limit)``, or an :class:`InternalError`
-    when it raises ``AssertionError``, so that one graph cannot end a run."""
+def _guarded(worker, limit: "int | None", item: "tuple[int, str, Graph]"):
+    """``worker(lineno, text, graph, limit)`` for one ``item``, or an
+    :class:`InternalError` when it raises ``AssertionError``, so that one
+    graph cannot end a run."""
+    index, text, graph = item
     try:
         return worker(index, text, graph, limit)
     except AssertionError as exc:
         return InternalError(index, text, graph.n, str(exc))
 
 
-def map_graphs(worker, graphs: list[tuple[int, str, Graph]], limit: "int | None", jobs: int) -> list:
-    """``worker(lineno, text, graph, limit)`` for each parsed graph, through
-    :func:`_guarded`, over ``jobs`` processes when more than one, with
-    results in input order for any job count."""
-    payload = [(lineno, text, graph, limit) for lineno, text, graph in graphs]
-    run = partial(_guarded, worker)
-    if jobs > 1 and len(payload) > 1:
-        # Imported here: a serial run never pays for it.
-        import multiprocessing
+def _corpus_records(
+    worker, lines: Iterable[str], limit: "int | None", jobs: int = 1, fail_fast: bool = False
+) -> "tuple[Iterator, list[tuple[int, str, str]]]":
+    """Parse a graph6 stream up front, then run ``worker`` on each graph.
 
-        chunk = max(1, len(payload) // (jobs * 8))
-        with multiprocessing.Pool(processes=jobs) as pool:
-            return pool.starmap(run, payload, chunksize=chunk)
-    return [run(*args) for args in payload]
+    Returns ``(records, parse_errors)``.  ``records`` yields
+    ``worker(lineno, text, graph, limit)`` through :func:`_guarded` for each
+    graph as it finishes, in input order for any job count.  Parse errors are
+    ``(lineno, text, message)`` triples; ``fail_fast`` stops at the first.
+    """
+    graphs: list[tuple[int, str, Graph]] = []
+    errors: list[tuple[int, str, str]] = []
+    for lineno, text, graph, error in iter_graph6(lines):
+        if error is None:
+            graphs.append((lineno, text, graph))
+            continue
+        errors.append((lineno, text, error))
+        if fail_fast:
+            break
+    return _mapped(partial(_guarded, worker, limit), graphs, jobs), errors
+
+
+def _mapped(run, graphs: list, jobs: int) -> Iterator:
+    """``map(run, graphs)``, over ``min(jobs, len(graphs))`` processes when
+    that is more than one."""
+    jobs = min(jobs, len(graphs))
+    if jobs < 2:
+        yield from map(run, graphs)
+        return
+    # Imported here: a serial run never pays for it.
+    import multiprocessing
+
+    with multiprocessing.Pool(processes=jobs) as pool:
+        yield from pool.imap(run, graphs, chunksize=max(1, len(graphs) // (jobs * 8)))
 
 
 def _verify_worker(index: int, text: str, graph: Graph, limit: "int | None") -> BoundsReport:
@@ -350,11 +362,11 @@ def run_corpus(
     """Verify a graph6 stream.
 
     Parsing is sequential; per-graph verification fans out over ``jobs``
-    processes with results reassembled in input order, so output is
-    byte-identical for any job count.  Returns (reports, parse_errors,
-    summary) where parse errors are (lineno, text, message) triples; a graph
-    that trips an internal check has an :class:`InternalError` in its place.
+    processes with results in input order, so output is byte-identical for
+    any job count.  Returns (reports, parse_errors, summary) where parse
+    errors are (lineno, text, message) triples; a graph that trips an
+    internal check has an :class:`InternalError` in its place.
     """
-    graphs, parse_errors = parse_corpus(lines, fail_fast)
-    reports = map_graphs(_verify_worker, graphs, budget_limit, jobs)
+    records, parse_errors = _corpus_records(_verify_worker, lines, budget_limit, jobs, fail_fast)
+    reports = list(records)
     return reports, parse_errors, summarize(reports, parse_errors)

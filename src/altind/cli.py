@@ -5,6 +5,11 @@ JSON lines or CSV on stdout.  Exit codes: 0 all good, 1 bound violation,
 internal error or realization failure, 2 input error, 3 a check was skipped
 on budget with --strict.
 
+``verify``, ``analyze`` and ``oracle`` run one loop: the input is parsed
+first, then each record is written as its graph finishes, in input order
+for any ``--jobs``; parse errors, violations and internal errors go to
+stderr after the last record.
+
 A graph whose solvers fail a witness re-check or a cross-check (an internal
 error) gets one record in place of its own, ``{"index", "graph6", "n",
 "internal_error"}`` in JSON and a row whose error columns read ``internal
@@ -25,12 +30,13 @@ from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .bounds import (
     _ANALYZE_FIELDS,
     CHECK_NAMES,
+    CheckResult,
     InternalError,
     _analyze_worker,
-    map_graphs,
-    parse_corpus,
+    _corpus_records,
+    _verify_worker,
     report_to_dict,
-    run_corpus,
+    summarize,
 )
 from .graph6 import enumerate_labeled_graphs, to_graph6
 from .indpoly import oracle_polynomial
@@ -76,13 +82,6 @@ def _emit_json(out, record: dict) -> None:
     out.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _report_internal_error(error: InternalError) -> None:
-    print(
-        f"INTERNAL ERROR: graph {error.index} ({error.graph6}): {error.internal_error}",
-        file=sys.stderr,
-    )
-
-
 def _internal_error_row(header, error: InternalError) -> list[str]:
     """A CSV row for ``error``: index, graph6 and n, every column named
     ``error`` or ``*_error`` holding the message, the rest blank."""
@@ -104,109 +103,100 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# -- analyze -------------------------------------------------------------------
-
-
-def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
-    graphs, parse_errors = parse_corpus(lines, config.fail_fast)
-    records = map_graphs(_analyze_worker, graphs, config.budget_expansions, config.jobs)
-    internal = [r for r in records if isinstance(r, InternalError)]
-
-    if config.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_ANALYZE_FIELDS)
-        for record in records:
-            if isinstance(record, InternalError):
-                writer.writerow(_internal_error_row(_ANALYZE_FIELDS, record))
-            else:
-                writer.writerow([_csv_cell(record[k]) for k in _ANALYZE_FIELDS])
-    else:
-        for record in records:
-            if isinstance(record, InternalError):
-                record = record._asdict()
-            _emit_json(out, record)
-
-    for lineno, _text, error in parse_errors:
-        print(f"line {lineno}: {error}", file=sys.stderr)
-    for error in internal:
-        _report_internal_error(error)
-    if parse_errors:
-        return EXIT_INPUT
-    if internal:
-        return EXIT_VIOLATION
-    if config.strict and any(r["error"] for r in records):
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
-# -- verify --------------------------------------------------------------------
-
-
-def _flatten_check(prefix: str, check: dict) -> list[tuple[str, object]]:
-    return [
-        (f"{prefix}_applicable", check["applicable"]),
-        (f"{prefix}_bound", check["bound"]),
-        (f"{prefix}_satisfied", check["satisfied"]),
-        (f"{prefix}_slack", check["slack"]),
-        (f"{prefix}_error", check["error"]),
-    ]
-
-
-def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
-    reports, parse_errors, summary = run_corpus(
-        lines,
-        jobs=config.jobs,
-        budget_limit=config.budget_expansions,
-        fail_fast=config.fail_fast,
-    )
-    internal = [r for r in reports if isinstance(r, InternalError)]
-
-    if config.fmt == "csv":
-        header = ["index", "graph6", "n", "alternating"]
-        for name in CHECK_NAMES:
-            header.extend(
-                f"{name}_{suffix}"
-                for suffix in ("applicable", "bound", "satisfied", "slack", "error")
-            )
+def _written(records, out, fmt: str, header, to_json=None, to_row=None):
+    """Write each record as it arrives, as a JSON line or a CSV row under
+    ``header``, then pass it on.  A record is a dict keyed by ``header``
+    unless ``to_json`` and ``to_row`` give its JSON object and CSV cells; an
+    :class:`InternalError` is written as its own record."""
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for report in reports:
-            if isinstance(report, InternalError):
-                writer.writerow(_internal_error_row(header, report))
-                continue
-            rec = report_to_dict(report)
-            row = [rec["index"], rec["graph6"], rec["n"], rec["alternating"]]
-            for name in CHECK_NAMES:
-                row.extend(value for _, value in _flatten_check(name, rec["checks"][name]))
-            writer.writerow([_csv_cell(v) for v in row])
-        print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
-    else:
-        for report in reports:
-            if isinstance(report, InternalError):
-                _emit_json(out, report._asdict())
+        for record in records:
+            if isinstance(record, InternalError):
+                writer.writerow(_internal_error_row(header, record))
             else:
-                _emit_json(out, report_to_dict(report))
-        _emit_json(out, summary)
+                cells = to_row(record) if to_row else [record[k] for k in header]
+                writer.writerow([_csv_cell(v) for v in cells])
+            yield record
+    else:
+        for record in records:
+            if isinstance(record, InternalError):
+                _emit_json(out, record._asdict())
+            else:
+                _emit_json(out, to_json(record) if to_json else record)
+            yield record
 
+
+def _report_errors(parse_errors, internal: list[dict], violations=()) -> int:
+    """Print what went wrong, after all records, and return the exit code it
+    forces, or EXIT_OK."""
     for lineno, _text, error in parse_errors:
         print(f"line {lineno}: {error}", file=sys.stderr)
-    for violation in summary["violations"]:
+    for violation in violations:
         print(
             f"BOUND VIOLATION: graph {violation['index']} ({violation['graph6']}) "
             f"fails {violation['check']}",
             file=sys.stderr,
         )
     for error in internal:
-        _report_internal_error(error)
-
+        print(
+            f"INTERNAL ERROR: graph {error['index']} ({error['graph6']}): "
+            f"{error['internal_error']}",
+            file=sys.stderr,
+        )
     if parse_errors:
         return EXIT_INPUT
-    if summary["violations"] or internal:
+    if violations or internal:
         return EXIT_VIOLATION
-    not_evaluated = sum(c["not_evaluated"] for c in summary["checks"].values())
-    if config.strict and not_evaluated:
-        return EXIT_BUDGET
     return EXIT_OK
+
+
+# -- analyze -------------------------------------------------------------------
+
+
+def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
+    records, parse_errors = _corpus_records(
+        _analyze_worker, lines, config.budget_expansions, config.jobs, config.fail_fast
+    )
+    internal, skipped = [], False
+    for record in _written(records, out, config.fmt, _ANALYZE_FIELDS):
+        if isinstance(record, InternalError):
+            internal.append(record._asdict())
+        elif record["error"]:
+            skipped = True
+    code = _report_errors(parse_errors, internal)
+    return code or (EXIT_BUDGET if config.strict and skipped else EXIT_OK)
+
+
+# -- verify --------------------------------------------------------------------
+
+
+_VERIFY_HEADER = ("index", "graph6", "n", "alternating") + tuple(
+    f"{name}_{field}" for name in CHECK_NAMES for field in CheckResult._fields
+)
+
+
+def _verify_row(report) -> list:
+    row = [report.index, report.graph6, report.n, report.alternating]
+    for name in CHECK_NAMES:
+        row.extend(report.checks[name])
+    return row
+
+
+def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
+    reports, parse_errors = _corpus_records(
+        _verify_worker, lines, config.budget_expansions, config.jobs, config.fail_fast
+    )
+    written = _written(reports, out, config.fmt, _VERIFY_HEADER, report_to_dict, _verify_row)
+    summary = summarize(written, parse_errors)
+    if config.fmt == "csv":
+        print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
+    else:
+        _emit_json(out, summary)
+
+    code = _report_errors(parse_errors, summary.get("internal_errors", []), summary["violations"])
+    not_evaluated = sum(c["not_evaluated"] for c in summary["checks"].values())
+    return code or (EXIT_BUDGET if config.strict and not_evaluated else EXIT_OK)
 
 
 # -- generate ------------------------------------------------------------------
@@ -273,36 +263,24 @@ def cmd_enumerate(n: int, out) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig, lines: list[str], out) -> int:
-    graphs, parse_errors = parse_corpus(lines, config.fail_fast)
-    records = []
-    for lineno, text, graph in graphs:
-        record = {"index": lineno, "graph6": text, "n": graph.n}
-        try:
-            coeffs = oracle_polynomial(graph)
-            record["coefficients"] = coeffs
-            record["alternating"] = sum(
-                c if i % 2 == 0 else -c for i, c in enumerate(coeffs)
-            )
-            record["error"] = None
-        except ValueError as exc:
-            record["coefficients"] = None
-            record["alternating"] = None
-            record["error"] = str(exc)
-        records.append(record)
+_ORACLE_FIELDS = ("index", "graph6", "n", "coefficients", "alternating", "error")
 
-    if config.fmt == "csv":
-        fields = ("index", "graph6", "n", "coefficients", "alternating", "error")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
-        for record in records:
-            writer.writerow([_csv_cell(record[k]) for k in fields])
-    else:
-        for record in records:
-            _emit_json(out, record)
-    for lineno, _text, error in parse_errors:
-        print(f"line {lineno}: {error}", file=sys.stderr)
-    return EXIT_INPUT if parse_errors else EXIT_OK
+
+def _oracle_worker(index: int, text: str, graph, _limit) -> dict:
+    record = {"index": index, "graph6": text, "n": graph.n}
+    try:
+        coeffs = oracle_polynomial(graph)
+    except ValueError as exc:
+        return {**record, "coefficients": None, "alternating": None, "error": str(exc)}
+    alternating = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
+    return {**record, "coefficients": coeffs, "alternating": alternating, "error": None}
+
+
+def cmd_oracle(config: RunConfig, lines: list[str], out) -> int:
+    records, parse_errors = _corpus_records(_oracle_worker, lines, None, 1, config.fail_fast)
+    written = _written(records, out, config.fmt, _ORACLE_FIELDS)
+    internal = [r._asdict() for r in written if isinstance(r, InternalError)]
+    return _report_errors(parse_errors, internal)
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -202,6 +202,26 @@ def test_oracle_subcommand(capsys, monkeypatch):
     record = json.loads(out.strip())
     assert record["coefficients"] == [1, 3] and record["alternating"] == -2
 
+    code, out, err = run_cli(
+        capsys, ["oracle", "--format", "csv"], stdin="Bw\n", monkeypatch=monkeypatch
+    )
+    assert (code, err) == (0, "")
+    assert out == "index,graph6,n,coefficients,alternating,error\n1,Bw,3,1 3,-2,\n"
+
+    # Past the oracle's cap the graph gets a record with the refusal, not a
+    # failed run.
+    big = to_graph6(cycle_graph(26))
+    code, out, err = run_cli(capsys, ["oracle"], stdin=big + "\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "index": 1,
+        "graph6": big,
+        "n": 26,
+        "coefficients": None,
+        "alternating": None,
+        "error": "oracle enumeration is limited to n <= 25 (got n=26)",
+    }
+
 
 def test_verify_jobs_output_identical(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
@@ -211,6 +231,64 @@ def test_verify_jobs_output_identical(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, ["verify", "--input", str(corpus), "--jobs", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+    # Blank lines, a malformed line in the middle, a non-ASCII line and a
+    # malformed last line; --fail-fast leaves two graphs before the first.
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"Bw\n\nC~\nnot graph6!\n\xff\nDhC\n\n@\nCl\nC~~\n")
+    for path in (corpus, bad):
+        for command in ("verify", "analyze"):
+            for fmt in ("json", "csv"):
+                for fail_fast in ([], ["--fail-fast"]):
+                    argv = [command, "--input", str(path), "--format", fmt, *fail_fast]
+                    serial = run_cli(capsys, argv + ["--jobs", "1"])
+                    assert run_cli(capsys, argv + ["--jobs", "2"]) == serial
+                    assert serial[0] == (2 if path == bad else 0)
+
+
+@pytest.mark.parametrize("command, stage", [("verify", "verify_graph"), ("analyze", "_stages")])
+def test_each_record_is_written_before_the_next_graph_starts(monkeypatch, command, stage):
+    import altind.bounds
+
+    out = io.StringIO()
+    written_at_start = []
+    run_stage = getattr(altind.bounds, stage)
+
+    def spy(*args, **kwargs):
+        written_at_start.append(out.getvalue().count("\n"))
+        return run_stage(*args, **kwargs)
+
+    monkeypatch.setattr(altind.bounds, stage, spy)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"Bw\nC~\nCl\n")))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, "--jobs", "1"]) == 0
+    assert written_at_start == [0, 1, 2]
+
+
+def test_jobs_start_no_more_workers_than_graphs(capsys, tmp_path, monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\nCl\n")
+    code, out, _ = run_cli(capsys, ["verify", "--input", str(corpus), "--jobs", "64"])
+    assert code == 0 and len(out.splitlines()) == 4
+    assert asked == [3]
 
 
 def test_invalid_budget_rejected(capsys, monkeypatch):

@@ -49,6 +49,18 @@ def test_script_runs(name, args):
     run_script(name, *args)
 
 
+def test_output_digest_has_one_line_per_run():
+    # gnp-branch has 8 graphs: the corpus's digest, then seven runs each of
+    # verify and analyze; the oracle skips graphs this large.
+    lines = run_script("output_digest.py", SRC, "gnp-branch").splitlines()
+    rows = [line.split("\t") for line in lines]
+    assert [args for _, args, _ in rows[:3]] == [
+        "corpus", "verify --format json --jobs 1", "verify --format json --jobs 2",
+    ]
+    assert len(rows) == 15 and len({args for _, args, _ in rows}) == 15
+    assert all(workload == "gnp-branch" and len(digest) == 64 for workload, _, digest in rows)
+
+
 def test_benchmark_tracing_harness_runs(monkeypatch):
     # The benchmark's traced pass imports and calls package internals by
     # name; run it on two graphs, so a change that breaks it fails here too.
