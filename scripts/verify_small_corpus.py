@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustively verify every bound on all labeled graphs up to a given order.
 
+Exits 1 when any check is violated or left not evaluated, or any graph
+reports an internal error.
+
 Usage: python scripts/verify_small_corpus.py [--max-n 5] [--jobs 4]
 """
 
@@ -37,12 +40,19 @@ def main() -> int:
         print(
             f"  {name:22s} applicable={stats['applicable']:6d} "
             f"satisfied={stats['satisfied']:6d} tight={stats['tight']:6d} "
-            f"violated={stats['violated']}"
+            f"violated={stats['violated']} not_evaluated={stats['not_evaluated']}"
         )
-    if summary["violations"]:
-        print(json.dumps(summary["violations"], indent=2))
+    internal = summary.get("internal_errors", [])
+    not_evaluated = sum(stats["not_evaluated"] for stats in summary["checks"].values())
+    for title, found in (("violations", summary["violations"]), ("internal errors", internal)):
+        if found:
+            print(f"{title}:")
+            print(json.dumps(found, indent=2))
+    if not_evaluated:
+        print(f"{not_evaluated} checks not evaluated")
+    if summary["violations"] or internal or not_evaluated:
         return 1
-    print("no violations")
+    print("no violations, internal errors or unevaluated checks")
     return 0
 
 

@@ -14,9 +14,7 @@ from .graph import (
 from .graph6 import (
     Graph6Error,
     enumerate_labeled_graphs,
-    format_edge_list,
     iter_graph6,
-    parse_edge_list,
     parse_graph6,
     to_graph6,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "parse_graph6",
     "to_graph6",
     "iter_graph6",
-    "parse_edge_list",
-    "format_edge_list",
     "enumerate_labeled_graphs",
     "ORACLE_CAP",
     "independence_polynomial",

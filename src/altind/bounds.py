@@ -49,8 +49,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .cycles import _cycle_length_not_div3, cycle_census
-from .decycling import _labeled, _phi_half, _ternary_half, cyclomatic_number
-from .graph import Graph
+from .decycling import _phi_half, _ternary_half, cyclomatic_number
+from .graph import Graph, bits
 from .graph6 import iter_graph6
 from .indpoly import alternating_number, independent_set_count
 
@@ -345,11 +345,11 @@ def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
         record["ternary"] = not census[0].ternary
     if phi[0] is not None:
         size, mask = phi[0]
-        record.update(phi=size, phi_witness=list(_labeled(graph, mask)))
+        record.update(phi=size, phi_witness=list(bits(mask)))
     if ternary[0] is not None:
         phi3_mask, middle, middle_mask = ternary[0]
-        record.update(phi3=phi3_mask.bit_count(), phi3_witness=list(_labeled(graph, phi3_mask)),
-                      middle_bound=middle, middle_witness=list(_labeled(graph, middle_mask)))
+        record.update(phi3=phi3_mask.bit_count(), phi3_witness=list(bits(phi3_mask)),
+                      middle_bound=middle, middle_witness=list(bits(middle_mask)))
     return record
 
 

@@ -5,7 +5,7 @@ is connected and 2-regular.  The enumerator grows paths depth-first from the
 smallest cycle vertex, only ever appending vertices adjacent to the path's
 last vertex and non-adjacent to every interior vertex; adjacency to the start
 closes a cycle.  Each cycle is produced once, in canonical orientation (start
-at the smallest label, second vertex smaller than last).
+at the smallest vertex, second vertex smaller than last).
 
 The walk keeps its own stack instead of recursing: one frame per path vertex
 after the start, holding the path's vertex mask, its interior mask and the
@@ -69,9 +69,8 @@ class CycleCensus(NamedTuple):
     """Vertex masks of the chordless cycles of one graph, for the solvers.
 
     ``masks`` holds every chordless cycle, ``ternary`` those whose length is
-    divisible by 3 (the graph is ternary exactly when it is empty).  Masks use
-    the graph's vertex indices, not its labels; distinct chordless cycles have
-    distinct vertex sets, so no mask repeats.
+    divisible by 3 (the graph is ternary exactly when it is empty).  Distinct
+    chordless cycles have distinct vertex sets, so no mask repeats.
     """
 
     masks: tuple[int, ...]
@@ -185,15 +184,13 @@ def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
 def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     """Enumerate every chordless cycle and classify lengths mod 3.
 
-    Cycles are reported in the graph's original labels.  The report is read
-    off one :func:`cycle_census`, plus the chord test when every chordless
-    cycle is ternary.
+    Each cycle is its vertex tuple in canonical orientation.  The report is
+    read off one :func:`cycle_census`, plus the chord test when every
+    chordless cycle is ternary.
     """
     budget = ensure_budget(budget)
     census = cycle_census(g, budget)
-    cycles = tuple(
-        tuple(g.labels[v] for v in _cycle_order(g.adj, m)) for m in census.masks
-    )
+    cycles = tuple(tuple(_cycle_order(g.adj, m)) for m in census.masks)
     return CycleReport(
         cycles, bool(census.ternary), _cycle_length_not_div3(g, census, budget)
     )
@@ -211,7 +208,7 @@ def is_ternary(g: Graph, budget: "Budget | None" = None) -> bool:
 def _is_ternary_mask(adj: tuple[int, ...], alive: int, budget: Budget) -> bool:
     """:func:`is_ternary` for the subgraph induced by ``alive``, enumerated
     in place: the same walk, in the same order, as on that subgraph built
-    and relabeled."""
+    with its vertices renumbered in ascending order."""
     for _, length in _chordless_iter(adj, alive, budget):
         if length % 3 == 0:
             return False

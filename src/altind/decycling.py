@@ -117,11 +117,6 @@ def cyclomatic_number(g: Graph) -> int:
 # -- transversal machinery -----------------------------------------------------
 
 
-def _labeled(g: Graph, mask: int) -> tuple[int, ...]:
-    """The vertices of ``mask`` in the caller's labels, ascending."""
-    return tuple(g.labels[v] for v in bits(mask))
-
-
 def _incidence(masks: "tuple[int, ...]") -> list[int]:
     """``on[v]``: bitset of the indices of the masks that contain vertex v."""
     on = [0] * max((m.bit_length() for m in masks), default=0)
@@ -421,14 +416,14 @@ def min_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[
     """Minimum number of vertex deletions leaving a forest, with a witness."""
     budget = ensure_budget(budget)
     size, witness = _phi_half(g, cycle_census(g, budget), budget)
-    return size, _labeled(g, witness)
+    return size, bits(witness)
 
 
 def min_ternary_decycling(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
     """Minimum number of deletions leaving a ternary graph, with a witness."""
     budget = ensure_budget(budget)
     witness = _min_ternary_mask(g, cycle_census(g, budget).ternary, budget)
-    return witness.bit_count(), _labeled(g, witness)
+    return witness.bit_count(), bits(witness)
 
 
 def minimal_ternary_decycling_sets(
@@ -449,7 +444,7 @@ def minimal_ternary_decycling_sets(
     for m in out:
         if any(not m & cm for cm in tern_masks):
             raise AssertionError("emitted set misses a cycle")
-    return [_labeled(g, m) for m in out], truncated
+    return [bits(m) for m in out], truncated
 
 
 def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[int, ...]]:
@@ -462,7 +457,7 @@ def middle_bound(g: Graph, budget: "Budget | None" = None) -> tuple[int, tuple[i
     """
     budget = ensure_budget(budget)
     _, best, best_mask = _ternary_half(g, cycle_census(g, budget), budget)
-    return best, _labeled(g, best_mask)
+    return best, bits(best_mask)
 
 
 def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResult:
@@ -474,10 +469,10 @@ def decycling_summary(g: Graph, budget: "Budget | None" = None) -> DecyclingResu
     phi3_mask, mid, mid_mask = _ternary_half(g, census, budget)
     return DecyclingResult(
         phi=phi,
-        phi_witness=_labeled(g, phi_mask),
+        phi_witness=bits(phi_mask),
         phi3=phi3_mask.bit_count(),
-        phi3_witness=_labeled(g, phi3_mask),
+        phi3_witness=bits(phi3_mask),
         nu=cyclomatic_number(g),
         middle_bound=mid,
-        middle_witness=_labeled(g, mid_mask),
+        middle_witness=bits(mid_mask),
     )

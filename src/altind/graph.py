@@ -13,10 +13,8 @@ of graphs on more than 64 vertices, shift byte 0's positions for each byte
 past the eighth, so no table is built after import.  Negative ints are not
 vertex masks (their two's-complement bits never run out) and are rejected.
 
-Induced subgraphs keep a ``labels`` map back to the coordinates of the graph
-they were cut from, so that witness sets computed on a subgraph can always be
-reported in the caller's coordinates.  ``labels`` is metadata: two graphs
-compare equal when they have the same vertex count and adjacency.
+A vertex is its bit position and has no other name: every witness is read
+off a mask of the graph it was computed on.
 """
 
 from __future__ import annotations
@@ -72,33 +70,24 @@ def bits(mask: int) -> tuple[int, ...]:
     return out
 
 
-def _as_mask(vertices: "int | Iterable[int]") -> int:
-    return vertices if isinstance(vertices, int) else mask_of(vertices)
-
-
 class Graph:
     """A simple undirected graph on vertices ``0 .. n-1``.
 
-    Immutable after construction; safe to share freely.  ``labels[v]`` is the
-    index of ``v`` in the graph this one was derived from (the identity for
-    graphs built directly).  Equality and hashing ignore ``labels``.
+    Immutable after construction; safe to share freely.  ``adj`` is stored
+    as a tuple whatever sequence it was built from.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[int, ...]
 
-    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[int, ...] = ()):
+    def __init__(self, n: int, adj: "Iterable[int]"):
+        adj = tuple(adj)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        if not labels:
-            labels = tuple(range(n))
-        elif len(labels) != n:
-            raise ValueError("label count does not match vertex count")
         full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
@@ -108,10 +97,10 @@ class Graph:
             for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at edge {u}-{v}")
-        self.__setstate__((n, adj, labels))
+        self.__setstate__((n, adj))
 
     def __getstate__(self):
-        return self.n, self.adj, self.labels
+        return self.n, self.adj
 
     def __setstate__(self, state):
         # Stores the fields unchecked.  Unpickling calls this without
@@ -135,7 +124,7 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __repr__(self):
-        return f"Graph(n={self.n!r}, adj={self.adj!r}, labels={self.labels!r})"
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -148,7 +137,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls(n, rows)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -162,12 +151,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         out = []
@@ -176,36 +159,6 @@ class Graph:
             for u in bits(row):
                 out.append((v, u))
         return out
-
-    def closed_neighborhood(self, v: int) -> int:
-        """Bitmask of v together with all its neighbors."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v] | 1 << v
-
-    # -- derived graphs ----------------------------------------------------
-
-    def induced_subgraph(self, vertices: "int | Iterable[int]") -> "Graph":
-        """The subgraph induced by ``vertices``; labels point back into self."""
-        mask = _as_mask(vertices)
-        if mask & ~self.all_mask:
-            raise IndexError("vertex set out of range")
-        keep = bits(mask)
-        index = {v: i for i, v in enumerate(keep)}
-        rows = []
-        for v in keep:
-            row = 0
-            for u in bits(self.adj[v] & mask):
-                row |= 1 << index[u]
-            rows.append(row)
-        return Graph(len(keep), tuple(rows), tuple(self.labels[v] for v in keep))
-
-    def delete_vertices(self, vertices: "int | Iterable[int]") -> "Graph":
-        """The graph with ``vertices`` removed (induced on the complement)."""
-        mask = _as_mask(vertices)
-        if mask & ~self.all_mask:
-            raise IndexError("vertex set out of range")
-        return self.induced_subgraph(self.all_mask & ~mask)
 
     # -- structure ---------------------------------------------------------
 
@@ -218,10 +171,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n == 0 or len(self.components()) == 1
-
-    def is_acyclic(self) -> bool:
-        """Forest test via the edge-count characterization e = n - q."""
-        return induces_forest(self.adj, self.all_mask)
 
 
 def components_of(adj: tuple[int, ...], mask: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""graph6 encoding and small text formats for exchanging simple graphs.
+"""graph6 encoding and decoding of simple graphs, and labeled enumeration.
 
 graph6 packs the upper triangle of the adjacency matrix column by column
 (x01, x02, x12, x03, ...) into 6-bit groups stored as printable bytes with a
@@ -96,7 +96,7 @@ def parse_graph6(text: str, max_n: int = DEFAULT_MAX_N) -> Graph:
     for k in range(nbits, nbytes * 6):
         if body[k // 6] >> (5 - k % 6) & 1:
             raise Graph6Error(f"nonzero padding bit at offset {pos + k // 6}")
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)
 
 
 def to_graph6(g: Graph, max_n: int = DEFAULT_MAX_N) -> str:
@@ -128,9 +128,7 @@ def to_graph6(g: Graph, max_n: int = DEFAULT_MAX_N) -> str:
     return out.decode("ascii")
 
 
-def iter_graph6(
-    lines: Iterable[str], max_n: int = DEFAULT_MAX_N
-) -> Iterator[tuple[int, str, "Graph | None", "str | None"]]:
+def iter_graph6(lines: Iterable[str]) -> Iterator[tuple[int, str, "Graph | None", "str | None"]]:
     """Parse a stream of graph6 lines.
 
     Yields ``(lineno, text, graph, error)`` with 1-based line numbers; blank
@@ -141,46 +139,9 @@ def iter_graph6(
         if not text:
             continue
         try:
-            yield lineno, text, parse_graph6(text, max_n=max_n), None
+            yield lineno, text, parse_graph6(text), None
         except Graph6Error as exc:
             yield lineno, text, None, str(exc)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: first line ``n m``, then m ``u v`` lines."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("edge-list header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop {u}-{v}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: edge {u}-{v} out of range")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {u}-{v}")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -199,4 +160,4 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             m ^= low
-        yield Graph(n, tuple(rows))
+        yield Graph(n, rows)

@@ -22,6 +22,22 @@ def low_bit_positions(mask: int):
         mask ^= low
 
 
+def induced(g: Graph, vertices) -> Graph:
+    """G[vertices] with its vertices renumbered 0, 1, ... in ascending order;
+    ``vertices`` is an iterable of vertex indices or a vertex mask."""
+    if isinstance(vertices, int):
+        vertices = low_bit_positions(vertices)
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph.from_edges(len(index), edges)
+
+
+def without(g: Graph, vertices) -> Graph:
+    """G - vertices: :func:`induced` on the other vertices."""
+    drop = set(vertices)
+    return induced(g, [v for v in range(g.n) if v not in drop])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -81,7 +97,7 @@ def brute_polynomial(g: Graph) -> list[int]:
     coeffs = [0] * (g.n + 1)
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(not g.adj[u] >> v & 1 for u, v in combinations(subset, 2)):
                 coeffs[k] += 1
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -101,7 +117,7 @@ def brute_count(g: Graph) -> int:
 
 def _induces_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
     """G[subset] connected and 2-regular, i.e. exactly a chordless cycle."""
-    sub = g.induced_subgraph(subset)
+    sub = induced(g, subset)
     return all(sub.degree(v) == 2 for v in range(sub.n)) and sub.is_connected()
 
 
@@ -135,7 +151,7 @@ def _has_hamiltonian_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
     first, *rest = subset
     for perm in permutations(rest):
         order = (first,) + perm
-        if all(g.has_edge(order[i], order[(i + 1) % len(order)]) for i in range(len(order))):
+        if all(g.adj[order[i]] >> order[(i + 1) % len(order)] & 1 for i in range(len(order))):
             return True
     return False
 
@@ -208,7 +224,7 @@ def brute_is_acyclic(g: Graph) -> bool:
         while stack:
             v, parent = stack.pop()
             skipped_parent = False
-            for u in g.neighbors(v):
+            for u in low_bit_positions(g.adj[v]):
                 if u == parent and not skipped_parent:
                     skipped_parent = True
                     continue
@@ -222,7 +238,7 @@ def brute_is_acyclic(g: Graph) -> bool:
 def brute_min_decycling(g: Graph) -> tuple[int, tuple[int, ...]]:
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if brute_is_acyclic(g.delete_vertices(subset)):
+            if brute_is_acyclic(without(g, subset)):
                 return k, subset
     raise AssertionError("unreachable: deleting everything is acyclic")
 
@@ -230,7 +246,7 @@ def brute_min_decycling(g: Graph) -> tuple[int, tuple[int, ...]]:
 def brute_min_ternary_decycling(g: Graph) -> tuple[int, tuple[int, ...]]:
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if brute_is_ternary(g.delete_vertices(subset)):
+            if brute_is_ternary(without(g, subset)):
                 return k, subset
     raise AssertionError("unreachable: deleting everything is ternary")
 
@@ -239,7 +255,7 @@ def brute_ternary_decycling_sets(g: Graph) -> list[tuple[int, ...]]:
     out = []
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if brute_is_ternary(g.delete_vertices(subset)):
+            if brute_is_ternary(without(g, subset)):
                 out.append(subset)
     return out
 
@@ -257,9 +273,9 @@ def brute_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
     lexicographic order, with the fewest independent sets."""
     witness = min(
         brute_ternary_decycling_sets(g),
-        key=lambda subset: brute_count(g.induced_subgraph(subset)),
+        key=lambda subset: brute_count(induced(g, subset)),
     )
-    return brute_count(g.induced_subgraph(witness)), witness
+    return brute_count(induced(g, witness)), witness
 
 
 def slow_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -270,9 +286,9 @@ def slow_middle_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
     assert not truncated
     witness = min(
         sets,
-        key=lambda s: (independent_set_count(g.induced_subgraph(s)), len(s), s),
+        key=lambda s: (independent_set_count(induced(g, s)), len(s), s),
     )
-    return independent_set_count(g.induced_subgraph(witness)), witness
+    return independent_set_count(induced(g, witness)), witness
 
 
 # -- transversal oracles over explicit cycle vertex sets --------------------------

@@ -28,7 +28,7 @@ from altind import (
     verify_graph,
 )
 
-from conftest import random_graph
+from conftest import induced, random_graph, without
 
 SEED = 20260810
 PATH_PERIOD = (1, 0, -1, -1, 0, 1)
@@ -95,7 +95,7 @@ def test_criterion_4_doubler_chain_tightness():
         phi3, witness = min_ternary_decycling(g)
         assert abs(alt) == 1 << k, k
         assert phi3 == k, k
-        assert is_ternary(g.delete_vertices(witness))
+        assert is_ternary(without(g, witness))
     print("\nACCEPTANCE 4 PASS: doubler chains are tight (|I| = 2^k, phi3 = k) "
           "for k in {1,2,3}")
 
@@ -144,8 +144,8 @@ def test_criterion_7_middle_bound_monotonicity():
         assert not truncated
         base = list(rng.choice(sets))
         extra = [v for v in range(g.n) if v not in base and rng.random() < 0.35]
-        small = independent_set_count(g.induced_subgraph(base))
-        large = independent_set_count(g.induced_subgraph(base + extra))
+        small = independent_set_count(induced(g, base))
+        large = independent_set_count(induced(g, base + extra))
         assert small <= large, (to_graph6(g), base, extra)
         checked += 1
     print(f"\nACCEPTANCE 7 PASS: count monotonicity held on {checked} nested "

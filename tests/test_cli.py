@@ -329,9 +329,8 @@ def test_construction_names_still_exported():
         "Budget", "BudgetExceededError", "DEFAULT_EXPANSIONS", "Graph", "bits",
         "mask_of", "empty_graph", "path_graph", "cycle_graph", "complete_graph",
         "disjoint_union", "Graph6Error", "parse_graph6", "to_graph6", "iter_graph6",
-        "parse_edge_list", "format_edge_list", "enumerate_labeled_graphs",
-        "ORACLE_CAP", "independence_polynomial", "alternating_number",
-        "independent_set_count", "oracle_polynomial", "CycleReport",
+        "enumerate_labeled_graphs", "ORACLE_CAP", "independence_polynomial",
+        "alternating_number", "independent_set_count", "oracle_polynomial", "CycleReport",
         "chordless_cycles", "is_ternary", "has_cycle_length_not_div3",
         "DecyclingResult", "cyclomatic_number", "min_decycling",
         "min_ternary_decycling", "minimal_ternary_decycling_sets", "middle_bound",

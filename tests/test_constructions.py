@@ -21,7 +21,7 @@ from altind import (
 )
 from altind.constructions import _GADGETS, _PAIRS
 
-from conftest import brute_alternating, random_graph
+from conftest import brute_alternating, random_graph, without
 
 
 def _pendant_at_contact(kind: str) -> Graph:
@@ -47,7 +47,7 @@ def test_doubler_bridge_decomposition():
     size, edges, contact = _GADGETS["doubler"]
     gadget = Graph.from_edges(size, edges)
     assert alternating_number(gadget) == 2
-    remainder = gadget.delete_vertices([contact])
+    remainder = without(gadget, [contact])
     assert alternating_number(remainder) == 0
     assert len(remainder.components()) == 2
 
@@ -105,7 +105,7 @@ def test_glue_triangle_identity():
         g = random_graph(rng, rng.randrange(1, 8))
         v = rng.randrange(g.n)
         glued = glue_triangle(g, v)
-        expected = alternating_number(g) - 2 * alternating_number(g.delete_vertices([v]))
+        expected = alternating_number(g) - 2 * alternating_number(without(g, [v]))
         assert alternating_number(glued) == expected
 
 

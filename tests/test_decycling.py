@@ -26,7 +26,7 @@ from altind import (
 )
 from altind.cycles import cycle_census
 from altind.decycling import _degree_bound, _degree_profile, _min_transversal, _phi_half
-from altind.graph import mask_of, two_core
+from altind.graph import induces_forest, mask_of, two_core
 
 from conftest import (
     berge_minimal_transversals,
@@ -36,11 +36,13 @@ from conftest import (
     brute_minimal_ternary_decycling_sets,
     combinations_min_transversal,
     graphs,
+    induced,
     random_graph,
     random_subdivided,
     relabeled,
     slow_middle_bound,
     subdivided_complete,
+    without,
 )
 
 TWO_TRIANGLES_BRIDGED = Graph.from_edges(
@@ -305,8 +307,8 @@ def test_invariant_chain(g):
     res = decycling_summary(g)
     assert res.phi3 <= res.phi <= res.nu
     assert 1 <= res.middle_bound <= 1 << res.phi3
-    assert g.delete_vertices(res.phi_witness).is_acyclic()
-    assert is_ternary(g.delete_vertices(res.phi3_witness))
+    assert induces_forest(g.adj, g.all_mask & ~mask_of(res.phi_witness))
+    assert is_ternary(without(g, res.phi3_witness))
     assert len(res.phi_witness) == res.phi
     assert len(res.phi3_witness) == res.phi3
 
@@ -321,8 +323,8 @@ def test_monotonicity_on_nested_sets():
         extra = [v for v in range(g.n) if v not in base and rng.random() < 0.4]
         if not extra:
             continue
-        small = independent_set_count(g.induced_subgraph(base))
-        large = independent_set_count(g.induced_subgraph(base + extra))
+        small = independent_set_count(induced(g, base))
+        large = independent_set_count(induced(g, base + extra))
         assert small <= large
         checked += 1
 
@@ -336,12 +338,6 @@ def test_witnesses_are_lexicographically_smallest():
     assert res.middle_witness == (0, 3)
 
 
-def test_labels_flow_through_witnesses():
-    g = disjoint_union(cycle_graph(3), cycle_graph(3)).induced_subgraph([3, 4, 5])
-    size, witness = min_ternary_decycling(g)
-    assert size == 1 and witness == (3,)
-
-
 def test_budget_exhaustion_is_an_error():
     with pytest.raises(BudgetExceededError):
         decycling_summary(complete_graph(12), Budget(5))
@@ -350,5 +346,5 @@ def test_budget_exhaustion_is_an_error():
 def test_middle_bound_matches_verified_count():
     g = TWO_TRIANGLES_BRIDGED
     value, witness = middle_bound(g)
-    assert value == independent_set_count(g.induced_subgraph(witness))
-    assert is_ternary(g.delete_vertices(witness))
+    assert value == independent_set_count(induced(g, witness))
+    assert is_ternary(without(g, witness))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altind import Graph, bits, complete_graph, cycle_graph, disjoint_union, empty_graph, mask_of, path_graph
+from altind.graph import induces_forest
 
-from conftest import graphs, low_bit_positions
+from conftest import graphs, induced, low_bit_positions, without
 
 
 def test_from_edges_rejects_loops():
@@ -30,7 +31,7 @@ def test_empty_graph_is_valid():
     assert g.n == 0
     assert g.edge_count() == 0
     assert g.components() == []
-    assert g.is_acyclic()
+    assert induces_forest(g.adj, g.all_mask)
 
 
 def test_edge_count_is_half_degree_sum():
@@ -39,52 +40,22 @@ def test_edge_count_is_half_degree_sum():
     assert sum(g.degree(v) for v in range(5)) == 20
 
 
-def test_closed_neighborhood_examples():
-    assert bits(cycle_graph(3).closed_neighborhood(0)) == (0, 1, 2)
-    assert bits(path_graph(3).closed_neighborhood(0)) == (0, 1)
-    assert bits(empty_graph(2).closed_neighborhood(1)) == (1,)
-
-
-def test_closed_neighborhood_out_of_range():
-    with pytest.raises(IndexError):
-        path_graph(3).closed_neighborhood(3)
-
-
-@given(graphs(max_n=8))
-def test_closed_neighborhood_size(g):
-    for v in range(g.n):
-        assert g.closed_neighborhood(v).bit_count() == g.degree(v) + 1
-
-
 def test_delete_vertices_examples():
-    assert cycle_graph(3).delete_vertices([0]) == complete_graph(2)
-    assert cycle_graph(6).delete_vertices([0]) == path_graph(5)
+    assert without(cycle_graph(3), [0]) == complete_graph(2)
+    assert without(cycle_graph(6), [0]) == path_graph(5)
     g = cycle_graph(5)
-    assert g.delete_vertices([]) == g
-
-
-def test_delete_vertices_tracks_labels():
-    g = cycle_graph(6).delete_vertices([0, 3])
-    assert g.labels == (1, 2, 4, 5)
-    h = g.delete_vertices([0])
-    assert h.labels == (2, 4, 5)
-
-
-def test_delete_vertices_range_check():
-    with pytest.raises(IndexError):
-        path_graph(3).delete_vertices([5])
+    assert without(g, []) == g
 
 
 @given(graphs(max_n=8), st.data())
 def test_delete_vertices_order_insensitive(g, data):
     s = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)) if g.n else set()
     t = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)) if g.n else set()
-    one_shot = g.delete_vertices(s | t)
-    stepwise = g.delete_vertices(s).delete_vertices(
-        [i for i, lab in enumerate(g.delete_vertices(s).labels) if lab in t]
-    )
+    one_shot = without(g, s | t)
+    # G - s renumbers its vertices in ascending order; find t among them.
+    kept = [v for v in range(g.n) if v not in s]
+    stepwise = without(without(g, s), [i for i, v in enumerate(kept) if v in t])
     assert stepwise == one_shot
-    assert stepwise.labels == one_shot.labels
 
 
 def test_components_examples():
@@ -100,54 +71,57 @@ def test_components_partition():
 
 
 def test_is_acyclic_examples():
-    assert path_graph(7).is_acyclic()
-    assert not cycle_graph(4).is_acyclic()
-    assert empty_graph(0).is_acyclic()
-    assert empty_graph(5).is_acyclic()
+    for g, forest in ((path_graph(7), True), (cycle_graph(4), False),
+                      (empty_graph(0), True), (empty_graph(5), True)):
+        assert induces_forest(g.adj, g.all_mask) is forest
 
 
 @given(graphs(max_n=8))
 @settings(max_examples=150)
 def test_is_acyclic_matches_per_component_formulation(g):
     per_component = all(
-        g.induced_subgraph(comp).edge_count() == comp.bit_count() - 1
+        induced(g, comp).edge_count() == comp.bit_count() - 1
         for comp in g.components()
     )
-    assert g.is_acyclic() == per_component
+    assert induces_forest(g.adj, g.all_mask) == per_component
 
 
 def test_induced_subgraph_keeps_structure():
-    g = complete_graph(4).induced_subgraph([1, 2, 3])
+    g = induced(complete_graph(4), [1, 2, 3])
     assert g == complete_graph(3)
-    assert g.labels == (1, 2, 3)
 
 
 def test_edges_sorted():
     assert cycle_graph(4).edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
-def test_graph_equality_ignores_labels():
-    a = cycle_graph(4).delete_vertices([0])
+def test_graph_equality_reads_n_and_adj():
+    a = without(cycle_graph(4), [0])
     assert a == path_graph(3)
-    assert a.labels != path_graph(3).labels
     assert hash(a) == hash(path_graph(3))
     assert a != cycle_graph(3) and a != (a.n, a.adj)
 
 
 def test_graph_is_immutable():
-    g = path_graph(3)
-    for name, value in (("n", 4), ("adj", (0, 0, 0)), ("labels", (2, 1, 0)), ("extra", 1)):
+    for g in (path_graph(3), Graph(3, [2, 5, 2])):
+        for name, value in (("n", 4), ("adj", (0, 0, 0)), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
         with pytest.raises(AttributeError):
-            setattr(g, name, value)
-    with pytest.raises(AttributeError):
-        del g.n
-    assert (g.n, g.adj, g.labels) == (3, (2, 5, 2), (0, 1, 2))
+            del g.n
+        # A list given as adj is stored as a tuple: nothing can append to
+        # it, and the graph hashes.
+        with pytest.raises(AttributeError):
+            g.adj.append(0)
+        assert (g.n, g.adj) == (3, (2, 5, 2))
+        assert hash(g) == hash(path_graph(3))
 
 
-def test_pickle_keeps_labels_without_validating_again(monkeypatch):
+def test_pickle_state_is_n_and_adj_without_validating_again(monkeypatch):
     # Worker processes receive their graphs pickled; they were validated
     # when parsed, so restoring them must not pay for it twice.
-    g = cycle_graph(6).delete_vertices([0, 3])
+    g = without(cycle_graph(6), [0, 3])
+    assert g.__getstate__() == (g.n, g.adj) == (4, (2, 1, 8, 4))
     data = pickle.dumps(g)
 
     def no_validation(*args):
@@ -155,7 +129,7 @@ def test_pickle_keeps_labels_without_validating_again(monkeypatch):
 
     monkeypatch.setattr(Graph, "__init__", no_validation)
     h = pickle.loads(data)
-    assert h == g and h.labels == g.labels == (1, 2, 4, 5)
+    assert h == g and hash(h) == hash(g)
 
 
 def test_bits_matches_low_bit_loop_on_every_16_bit_mask():

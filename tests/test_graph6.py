@@ -10,9 +10,7 @@ from altind import (
     cycle_graph,
     empty_graph,
     enumerate_labeled_graphs,
-    format_edge_list,
     iter_graph6,
-    parse_edge_list,
     parse_graph6,
     path_graph,
     to_graph6,
@@ -108,32 +106,6 @@ def test_iter_graph6_reports_line_numbers():
     assert rows[0][2] == cycle_graph(3)
     assert rows[1][2] is None and "offset" in rows[1][3]
     assert rows[2][2] == empty_graph(1)
-
-
-def test_edge_list_roundtrip():
-    g = complete_graph(4)
-    assert parse_edge_list(format_edge_list(g)) == g
-
-
-def test_edge_list_parse():
-    g = parse_edge_list("3 2\n0 1\n1 2\n")
-    assert sorted(g.edges()) == [(0, 1), (1, 2)]
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("", "empty"),
-        ("3\n", "header"),
-        ("2 1\n", "expected 1 edge lines"),
-        ("2 1\n0 0\n", "self-loop"),
-        ("2 2\n0 1\n1 0\n", "duplicate"),
-        ("2 1\n0 5\n", "out of range"),
-    ],
-)
-def test_edge_list_errors(text, message):
-    with pytest.raises(ValueError, match=message):
-        parse_edge_list(text)
 
 
 def test_enumerate_counts():

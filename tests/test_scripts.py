@@ -1,7 +1,9 @@
-"""Smoke tests: each experiment script runs at its smallest setting, and the
-benchmark's traced pass runs on two graphs."""
+"""Smoke tests: each experiment script runs at its smallest setting, the
+exhaustive verifier fails on a broken run, and the benchmark's traced pass
+runs on two graphs."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,3 +74,34 @@ def test_benchmark_tracing_harness_runs(monkeypatch):
     assert [r["chordless"] for r in results] == [1, 4]
     metrics, _notes = tracing.per_layer(tracer, results)
     assert metrics["cycles.chordless"] == (5, "count")
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_small_corpus_fails_on_internal_errors_and_unevaluated_checks(monkeypatch, capsys):
+    script = _load_script("verify_small_corpus.py")
+    monkeypatch.setattr(sys, "argv", ["verify_small_corpus.py", "--max-n", "3"])
+    assert script.main() == 0
+    assert "no violations" in capsys.readouterr().out
+
+    broken = altind.InternalError(0, "Bw", 3, "witness failed its re-check")
+    monkeypatch.setattr(
+        script, "run_corpus", lambda lines, jobs: ([broken], [], altind.summarize([broken]))
+    )
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "internal errors:" in out and "witness failed its re-check" in out
+
+    # One expansion per graph leaves every graph with a cycle unevaluated.
+    real = altind.run_corpus
+    monkeypatch.setattr(
+        script, "run_corpus", lambda lines, jobs: real(lines, jobs, budget_limit=1)
+    )
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "checks not evaluated" in out and "no violations" not in out
