@@ -13,38 +13,32 @@ vertex masks, and each transversal problem has one exact solver.  The lists
 come from one :class:`~altind.cycles.CycleCensus` per graph; no solver
 enumerates cycles itself.
 
-Minimum transversal (phi, phi3): iterative deepening on the size k, starting
-at a greedy packing of vertex-disjoint cycles.  At each k a depth-first
-search takes the smallest vertex that lies on some cycle not yet hit, and
-tries including it before excluding it.  Vertices are decided in ascending
-order along every path, and every vertex below the current one is out of the
-set, so each node carries a packing bound: cycles that stay pairwise
-disjoint above the current vertex each need a vertex of their own, so more
-of them than the room left proves the branch empty.  A vertex skipped
-because it lies on no cycle left unhit can never be in a minimum solution
-(dropping it would leave a smaller transversal), so skipping it loses no
-optimum; the search is then an include-first walk over an ascending decision
-order, whose first hit among sets of one size is the lexicographically
-smallest.  No smaller size has a solution, so that first hit is the
-lexicographically smallest minimum transversal.
+Minimum transversal (phi, phi3): two phases, the size and then the witness.
 
-For phi each node also has a degree bound.  Deleting a vertex of degree d
-lowers the cyclomatic number e - n + q by at most d - 1 (e drops by d, n by
-one, and q cannot drop).  Let H be the 2-core of G - chosen, which has the
-same cyclomatic number nu(H).  A completion D, drawn from the vertices
-v >= the current one, leaves H - D a forest, so the values deg_H(v) - 1 over
-D sum to at least nu(H): the least k for which the k largest of them reach
-nu(H) is a lower bound on the vertices still needed.  A node prunes when
-either bound exceeds the room left, and the deepening starts at the larger
-of the two at the root.  The bound is about forests, so phi3 does without
-it.  A node computes it only when the packing does not prune and more
-masks are unhit than there is room (otherwise one vertex of each fits);
-an include child peels its 2-core from its parent's, and an exclude child,
-with the same chosen set, reuses its parent's.
+The size is found by iterative deepening on k, from a greedy packing of
+vertex-disjoint cycles.  At each k a feasibility search asks whether k
+vertices of an allowed set meet every cycle not yet hit.  It branches on the
+unhit cycle with the fewest allowed vertices v1 < v2 < ...: take v1; else
+drop v1 from the allowed set and take v2; and so on.  A node fails when some
+unhit cycle has no allowed vertex, or when more unhit cycles stay pairwise
+disjoint within the allowed set than there is room left, since each needs a
+vertex of its own.  This is the bounded-search-tree rule for d-hitting set
+(Cygan et al., *Parameterized Algorithms*, 2015, ch. 3); no order is owed
+to the witness here, so it branches where the tree is narrowest.
 
-Both searches carry the masks still unhit down the recursion as a list in
-index order, filtered at each include child, so the packing and the branch
-choice below walk only those masks.
+The witness is found by self-reduction, with k now the minimum.  The
+vertices on unhit cycles are decided in ascending order: v is included iff
+the cycles v leaves unhit fit in one vertex less, drawn from the vertices
+above v; otherwise some minimum completion avoids v, and v is excluded.  The
+first vertex where two minimum sets differ decides their lexicographic
+order, and including v puts v there where excluding it puts a larger vertex,
+so the result is the lexicographically smallest minimum transversal.  A
+vertex on no unhit cycle is skipped: a completion of the least size that
+held it would still be one without it, one vertex smaller.
+
+Every node carries the cycles still unhit as a list in index order, filtered
+when a vertex is taken, so the packing and the branch choice walk only
+those.
 
 Minimal transversals: MMCS (Murakami and Uno, "Efficient algorithms for
 dualizing large-scale hypergraphs", DAM 2014).  It grows a set one vertex at
@@ -93,7 +87,7 @@ from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .cycles import CycleCensus, _is_ternary_mask, cycle_census
-from .graph import Graph, bits, components_of, induces_forest, two_core
+from .graph import Graph, bits, components_of, induces_forest
 from .indpoly import _IntEngine
 
 
@@ -126,106 +120,83 @@ def _incidence(masks: "tuple[int, ...]") -> list[int]:
     return on
 
 
-def _degree_profile(adj: "tuple[int, ...]", core: int) -> tuple[int, list[tuple[int, int]]]:
-    """``(nu(H), [(deg_H(v) - 1, v) ...] largest first)`` for H = G[core]."""
-    profile = []
-    twice_e = 0
-    for v in bits(core):
-        d = (adj[v] & core).bit_count()
-        twice_e += d
-        profile.append((d - 1, v))
-    profile.sort(reverse=True)
-    return twice_e // 2 - len(profile) + len(components_of(adj, core)), profile
+def _union(masks) -> int:
+    """The vertices of all ``masks``."""
+    union = 0
+    for m in masks:
+        union |= m
+    return union
 
 
-def _degree_bound(profile: tuple[int, list[tuple[int, int]]], low: int, room: int) -> int:
-    """Fewest vertices v >= ``low`` of H whose deg_H(v) - 1 sum to nu(H), or
-    ``room + 1`` when more than ``room`` are needed or none suffice."""
-    need, degrees = profile
-    k = 0
-    for d, v in degrees:
-        if need <= 0 or k > room:
-            break
-        if v >= low:
-            need -= d
-            k += 1
-    return k if need <= 0 and k <= room else room + 1
+def _fewest(masks: "list[int]", allowed: int) -> int:
+    """The mask both searches branch on: of the non-empty list ``masks``,
+    the first with the fewest vertices in ``allowed``, cut to them."""
+    branch = masks[0] & allowed
+    size = branch.bit_count()
+    for m in masks:
+        m &= allowed
+        if m.bit_count() < size:
+            branch = m
+            size = m.bit_count()
+    return branch
 
 
-def _min_transversal(
-    masks: "tuple[int, ...]", budget: Budget, adj: "tuple[int, ...] | None" = None
-) -> tuple[int, int]:
-    """Smallest vertex set meeting every mask: (size, witness mask).
-
-    The witness is lexicographically smallest among minimum solutions.  With
-    ``adj``, the adjacency of the graph whose chordless cycles ``masks`` are,
-    every node also applies the degree bound of the module docstring.
-    """
+def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int]:
+    """Smallest vertex set meeting every mask: (size, witness mask), the
+    witness lexicographically smallest among minimum solutions."""
     if not masks:
         return 0, 0
     # Short cycles first: the greedy packing then tends to find more of them.
     masks = sorted(masks, key=int.bit_count)
 
-    def packing(unhit: "list[int]", low: int, room: int) -> "tuple[int, int] | None":
-        """``(count, reach)``: a greedy count of the ``unhit`` masks pairwise
-        disjoint above ``low``, and the union of all their vertices there;
-        None once the count passes ``room`` or a mask has no vertex there."""
-        avail = -1 << low
-        used = reach = 0
-        count = 0
+    def packing(unhit: "list[int]", avail: int, room: int) -> int:
+        """A greedy count of the ``unhit`` masks pairwise disjoint within
+        ``avail``; ``room + 1`` once it passes ``room`` or a mask has no
+        vertex in ``avail``."""
+        used = count = 0
         for m in unhit:
             m &= avail
             if not m:
-                return None
-            reach |= m
+                return room + 1
             if not m & used:
                 used |= m
                 count += 1
                 if count > room:
-                    return None
-        return count, reach
+                    break
+        return count
 
-    def search(low, chosen, unhit, room, core, profile):
-        """Include-first search below ``chosen`` (every vertex < ``low``
-        decided) over the masks it leaves ``unhit``, in index order.
-        ``profile`` is the degree profile of ``core``, the 2-core of
-        G - chosen; None at an include child, whose ``core`` is still its
-        parent's, until the packing fails to prune it."""
+    def fits(unhit: "list[int]", avail: int, room: int) -> bool:
+        """Whether at most ``room`` vertices of ``avail`` meet every mask of
+        ``unhit``."""
         budget.spend()
         if not unhit:
-            return chosen
-        packed = packing(unhit, low, room)
-        if packed is None:
-            return None
-        # With no more unhit masks than room, one vertex of each fits, so
-        # no bound can prune here or anywhere below.
-        if adj is not None and len(unhit) > room:
-            if profile is None:
-                taken = low - 1
-                core = two_core(adj, core & ~(1 << taken), adj[taken])
-                profile = _degree_profile(adj, core)
-            if _degree_bound(profile, low, room) > room:
-                return None
-        reach = packed[1]
-        bit = reach & -reach
-        v = bit.bit_length() - 1
-        found = search(v + 1, chosen | bit, [m for m in unhit if not m & bit],
-                       room - 1, core, None)
-        if found is None:
-            found = search(v + 1, chosen, unhit, room, core, profile)
-        return found
+            return True
+        if packing(unhit, avail, room) > room:
+            return False
+        for v in bits(_fewest(unhit, avail)):
+            bit = 1 << v
+            avail &= ~bit
+            if fits([m for m in unhit if not m & bit], avail, room - 1):
+                return True
+        return False
 
-    k, _ = packing(masks, 0, len(masks))
-    core = profile = None
-    if adj is not None and len(masks) > k:
-        core = two_core(adj, (1 << len(adj)) - 1)
-        profile = _degree_profile(adj, core)
-        k = max(k, _degree_bound(profile, 0, len(adj)))
-    while True:
-        found = search(0, 0, masks, k, core, profile)
-        if found is not None:
-            return k, found
+    reach = _union(masks)
+    k = packing(masks, reach, len(masks))
+    while not fits(masks, reach, k):
         k += 1
+    # Decide the vertices on unhit masks in ascending order, each included
+    # iff the masks it leaves unhit still fit above it.
+    chosen = 0
+    while masks:
+        bit = reach & -reach
+        reach ^= bit
+        rest = [m for m in masks if not m & bit]
+        if fits(rest, reach, k - 1):
+            chosen |= bit
+            k -= 1
+            masks = rest
+            reach &= _union(rest)
+    return chosen.bit_count(), chosen
 
 
 def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
@@ -243,15 +214,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
         budget.spend()
         if not uncov:
             return leaf(chosen, value)
-        # Branch on the unhit cycle with the fewest candidate vertices; the
-        # first in index order among ties.
-        branch = cand
-        size = branch.bit_count()
-        for m in unhit:
-            c = m & cand
-            if c.bit_count() < size:
-                branch = c
-                size = c.bit_count()
+        branch = _fewest(unhit, cand)
         cand &= ~branch
         for v in bits(branch):
             hit = on[v]
@@ -267,10 +230,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
             cand |= 1 << v
         return False
 
-    universe = 0
-    for m in masks:
-        universe |= m
-    search(0, 1, universe, {}, (1 << len(masks)) - 1, list(masks))
+    search(0, 1, _union(masks), {}, (1 << len(masks)) - 1, list(masks))
 
 
 def _minimal_transversal_masks(
@@ -356,12 +316,9 @@ def _least_minimal_count(
     component masks of g, which mean the same subgraph whichever set or
     part reached them.
     """
-    union = 0
-    for m in masks:
-        union |= m
     engine = _IntEngine(g.adj, 1, budget)
     count, mask = 1, 0
-    for part in components_of(g.adj, union):
+    for part in components_of(g.adj, _union(masks)):
         part_count, part_mask = _least_part_count(
             engine, [m for m in masks if m & part], seed & part
         )
@@ -390,7 +347,7 @@ def _min_ternary_mask(g: Graph, ternary: "tuple[int, ...]", budget: Budget) -> i
 
 def _phi_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, int]:
     """phi and its witness mask, re-checked to leave a forest."""
-    size, mask = _min_transversal(census.masks, budget, g.adj)
+    size, mask = _min_transversal(census.masks, budget)
     if not induces_forest(g.adj, g.all_mask & ~mask):
         raise AssertionError("decycling witness failed the acyclicity re-check")
     return size, mask

@@ -198,21 +198,18 @@ def induces_forest(adj: tuple[int, ...], mask: int) -> bool:
     return subgraph_edge_count(adj, mask) == mask.bit_count() - len(components_of(adj, mask))
 
 
-def two_core(adj: tuple[int, ...], mask: int, peel: "int | None" = None) -> int:
+def two_core(adj: tuple[int, ...], mask: int) -> int:
     """The 2-core of the subgraph induced by ``mask``: vertices with at most
-    one neighbour left are stripped until none remains.  When only the
-    vertices of ``peel`` can start out with fewer than two neighbours, pass
-    it and the strip starts from them alone."""
-    if peel is None:
-        peel = mask
-    while peel:
-        low = peel & -peel
-        peel ^= low
+    one neighbour left are stripped until none remains."""
+    pending = mask
+    while pending:
+        low = pending & -pending
+        pending ^= low
         if low & mask:
             row = adj[low.bit_length() - 1] & mask
             if not row & (row - 1):
                 mask ^= low
-                peel |= row
+                pending |= row
     return mask
 
 

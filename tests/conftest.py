@@ -306,6 +306,52 @@ def combinations_min_transversal(cycles) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: the whole universe meets every cycle")
 
 
+def include_first_min_transversal(masks) -> tuple[int, int]:
+    """(size, witness mask) of the lexicographically smallest minimum
+    transversal of the vertex ``masks``, by one include-first search.
+
+    It deepens the size k from a greedy packing of disjoint masks.  At each
+    k it takes the smallest vertex on a mask not yet hit and tries including
+    it before excluding it, so it meets sets of one size in lexicographic
+    order; it prunes a branch when more unhit masks stay pairwise disjoint
+    above the current vertex than there is room left.
+    """
+    if not masks:
+        return 0, 0
+    masks = sorted(masks, key=int.bit_count)
+
+    def packing(unhit, low, room):
+        avail = -1 << low
+        used = reach = count = 0
+        for m in unhit:
+            m &= avail
+            if not m:
+                return None
+            reach |= m
+            if not m & used:
+                used |= m
+                count += 1
+                if count > room:
+                    return None
+        return count, reach
+
+    def search(low, chosen, unhit, room):
+        if not unhit:
+            return chosen
+        packed = packing(unhit, low, room)
+        if packed is None:
+            return None
+        bit = packed[1] & -packed[1]
+        v = bit.bit_length() - 1
+        found = search(v + 1, chosen | bit, [m for m in unhit if not m & bit], room - 1)
+        return search(v + 1, chosen, unhit, room) if found is None else found
+
+    k = packing(masks, 0, len(masks))[0]
+    while (found := search(0, 0, masks, k)) is None:
+        k += 1
+    return k, found
+
+
 def berge_minimal_transversals(cycles) -> set[frozenset[int]]:
     """Inclusion-minimal sets meeting every cycle, by Berge's sequential
     dualization: add one cycle at a time, extend each transversal that

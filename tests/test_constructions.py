@@ -9,12 +9,10 @@ from altind import (
     attach_pendant_path,
     build_recipe,
     cycle_graph,
-    disjoint_union,
     doubler_attach,
     doubler_chain,
     empty_graph,
     glue_triangle,
-    independent_set_count,
     min_ternary_decycling,
     realize,
     sign_flip_extend,

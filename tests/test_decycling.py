@@ -15,6 +15,7 @@ from altind import (
     decycling_summary,
     disjoint_union,
     empty_graph,
+    enumerate_labeled_graphs,
     independent_set_count,
     is_ternary,
     middle_bound,
@@ -23,10 +24,11 @@ from altind import (
     minimal_ternary_decycling_sets,
     parse_graph6,
     path_graph,
+    to_graph6,
 )
 from altind.cycles import cycle_census
-from altind.decycling import _degree_bound, _degree_profile, _min_transversal, _phi_half
-from altind.graph import induces_forest, mask_of, two_core
+from altind.decycling import _min_transversal, _phi_half
+from altind.graph import induces_forest, mask_of
 
 from conftest import (
     berge_minimal_transversals,
@@ -36,6 +38,7 @@ from conftest import (
     brute_minimal_ternary_decycling_sets,
     combinations_min_transversal,
     graphs,
+    include_first_min_transversal,
     induced,
     random_graph,
     random_subdivided,
@@ -105,8 +108,6 @@ def test_empty_graph_summary():
 
 
 def test_brute_equivalence_exhaustive_small():
-    from altind import enumerate_labeled_graphs
-
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             phi3 = brute_min_ternary_decycling(g)
@@ -169,27 +170,7 @@ def test_large_universe_matches_subset_oracles():
     assert sets == sorted(sets, key=lambda s: (len(s), s))
 
 
-def root_degree_bound(g: Graph) -> int:
-    """The degree bound at the root of the phi search: over the 2-core H of
-    G, the fewest vertices whose deg_H(v) - 1 sum to nu(H)."""
-    return _degree_bound(_degree_profile(g.adj, two_core(g.adj, g.all_mask)), 0, g.n)
-
-
-def test_root_degree_bound_at_most_phi_on_small_graphs():
-    from altind import enumerate_labeled_graphs
-
-    for n in range(7):
-        for g in enumerate_labeled_graphs(n):
-            assert root_degree_bound(g) <= min_decycling(g)[0]
-
-
-@given(graphs(max_n=12))
-@settings(max_examples=80, deadline=None)
-def test_root_degree_bound_at_most_phi(g):
-    assert root_degree_bound(g) <= min_decycling(g)[0]
-
-
-def _degree_bound_cases():
+def _transversal_cases():
     rng = random.Random(2024)
     for n in range(8, 15):
         for p in (0.25, 0.35):
@@ -200,24 +181,33 @@ def _degree_bound_cases():
         yield relabeled(g, rng)
 
 
-def test_degree_bound_keeps_the_least_minimum_transversal():
-    # An overstated bound prunes a branch holding a minimum transversal and
-    # shows up here as a larger size or a later witness.
-    for g in _degree_bound_cases():
+def test_phi_keeps_the_least_minimum_transversal():
+    # A bound that overstates what a branch needs prunes a branch holding a
+    # minimum transversal, and shows up here as a larger size or a later
+    # witness.
+    for g in _transversal_cases():
         cycles = chordless_cycles(g).chordless_cycles
         assert min_decycling(g) == combinations_min_transversal(cycles)
 
 
-@pytest.mark.parametrize("n, root, phi, expansions", [(4, 2, 2, 3), (5, 2, 3, 9), (6, 3, 4, 16)])
-def test_complete_graphs_deepen_from_the_degree_bound(n, root, phi, expansions):
-    # The packing bound is 1, 1 and 2 here; deepening from it took 8, 18 and
-    # 31 expansions over 2, 3 and 3 depths.  From the degree bound, K4 is
-    # solved at one depth, K5 and K6 at two: their bound, ceil((n - 1) / 2),
-    # sits one below phi.
+def test_two_phase_search_matches_the_include_first_search():
+    draws = random.Random(1)
+    corpus = [*enumerate_labeled_graphs(6), *(random_graph(draws, 30, 0.15) for _ in range(3))]
+    for g in corpus:
+        census = cycle_census(g, Budget(10**9))
+        for masks in (census.masks, census.ternary):
+            expected = include_first_min_transversal(masks)
+            assert _min_transversal(masks, Budget(10**9)) == expected, to_graph6(g)
+
+
+@pytest.mark.parametrize("n, phi, expansions", [(4, 2, 10), (5, 3, 23), (6, 4, 38)])
+def test_complete_graph_phi_expansions(n, phi, expansions):
+    # The packing bound is 1, 1 and 2 here, so the size search fails at 1,
+    # 2 and 2 depths before it fits; the witness walk then spends one
+    # feasibility test per vertex it decides.
     g = complete_graph(n)
-    assert root_degree_bound(g) == root
     budget = Budget(10**6)
-    assert _min_transversal(cycle_census(g, Budget(10**6)).masks, budget, g.adj) == (
+    assert _min_transversal(cycle_census(g, Budget(10**6)).masks, budget) == (
         phi,
         (1 << phi) - 1,
     )
@@ -225,8 +215,8 @@ def test_complete_graphs_deepen_from_the_degree_bound(n, root, phi, expansions):
 
 
 def test_phi_search_on_a_g34_draw_within_budget():
-    # G(34, .12), 64 edges and 1,781 chordless cycles; without the degree
-    # bound the search takes 14,965 expansions, with it 2,799.
+    # G(34, .12), 64 edges and 1,781 chordless cycles; the search takes
+    # 3,823 expansions.
     g = parse_graph6(
         "a?g????A??C????GO?C?P??g?KC?B?_G???bT?A@W???b???@?@GA?G??????KAAB?@?BG?"
         "_??_AGO?AcO??OaA?????hA_"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from altind import (
-    Graph,
     Graph6Error,
     complete_graph,
     cycle_graph,
