@@ -7,12 +7,14 @@ SRC is the ``src`` directory of the version to run.  A WORKLOAD is one of the
 benchmark's workloads, built by ``python3 perfbench/corpus.py WORKLOAD 7``;
 ``enumerate-6``, every labeled graph on 6 vertices from ``altind enumerate
 6``; or ``malformed``, a short corpus with blank, malformed and non-ASCII
-lines.  The default is all of them.  On each corpus it runs ``verify`` and
-``analyze`` in JSON and CSV at ``--jobs 1`` and ``2``, with ``--fail-fast``,
-and at budgets of 20 and 30 expansions with ``--strict``; on the corpora of
-small graphs it also runs ``oracle`` in JSON and CSV.  It prints one line per
-run, ``WORKLOAD<TAB>ARGS<TAB>sha256`` of stdout, stderr and the exit code,
-plus one line with the corpus's own digest.  Two versions then compare with
+lines; or ``generate``, which has no corpus and runs ``generate K --all
+--density-k 5`` for K = 1..5 in JSON and CSV.  The default is all of them.
+On each corpus it runs ``verify`` and ``analyze`` in JSON and CSV at
+``--jobs 1`` and ``2``, with ``--fail-fast``, and at budgets of 20 and 30
+expansions with ``--strict``; on the corpora of small graphs it also runs
+``oracle`` in JSON and CSV.  It prints one line per run,
+``WORKLOAD<TAB>ARGS<TAB>sha256`` of stdout, stderr and the exit code, plus
+one line with each corpus's own digest.  Two versions then compare with
 
     python3 scripts/output_digest.py A/src > a.txt
     python3 scripts/output_digest.py B/src > b.txt
@@ -28,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_WORKLOADS = ("labeled-n6", "gnp-table", "gnp-branch", "adversarial")
-WORKLOADS = (*BENCH_WORKLOADS, "enumerate-6", "malformed")
+WORKLOADS = (*BENCH_WORKLOADS, "enumerate-6", "malformed", "generate")
 SEED = "7"
 MALFORMED = b"Bw\n\nC~\nnot graph6!\n\xff\nDhC\n\n@\nCl\nC~~\n"
 # The oracle enumerates all 2^n vertex subsets, so it runs on these alone.
@@ -57,6 +59,11 @@ def corpus(src: str, workload: str) -> bytes:
 
 
 def runs(workload: str):
+    if workload == "generate":
+        for k in range(1, 6):
+            for fmt in ("json", "csv"):
+                yield ["generate", str(k), "--all", "--density-k", "5", "--format", fmt]
+        return
     for command in ("verify", "analyze"):
         for fmt in ("json", "csv"):
             for jobs in ("1", "2"):
@@ -83,12 +90,15 @@ def main() -> int:
             sys.exit(f"unknown workload {workload!r}; choose from {', '.join(WORKLOADS)}")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
-            data = corpus(src, workload)
-            path = Path(tmp) / f"{workload}.g6"
-            path.write_bytes(data)
-            print(f"{workload}\tcorpus\t{digest(data)}", flush=True)
+            source = []
+            if workload != "generate":
+                data = corpus(src, workload)
+                path = Path(tmp) / f"{workload}.g6"
+                path.write_bytes(data)
+                print(f"{workload}\tcorpus\t{digest(data)}", flush=True)
+                source = ["--input", str(path)]
             for args in runs(workload):
-                proc = run(src, ["-m", "altind", *args, "--input", str(path)])
+                proc = run(src, ["-m", "altind", *args, *source])
                 line = digest(proc.returncode, proc.stdout, proc.stderr)
                 print(f"{workload}\t{' '.join(args)}\t{line}", flush=True)
     return 0

@@ -38,7 +38,7 @@ from .bounds import (
     report_to_dict,
     summarize,
 )
-from .graph6 import enumerate_labeled_graphs, to_graph6
+from .graph6 import Graph6Error, enumerate_labeled_graphs, to_graph6
 from .indpoly import oracle_polynomial
 
 EXIT_OK = 0
@@ -207,31 +207,26 @@ def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe
     from .constructions import ConstructionError, realize
 
     targets = list(range(-(1 << k), (1 << k) + 1)) if sweep else [q]
-    results = []
+    records = []
     failures = []
     for target in targets:
         try:
             graph, recipe = realize(k, target, density_cap=config.density_k,
                                     budget=Budget(config.budget_expansions))
-            results.append((target, graph, recipe))
-        except (ConstructionError, BudgetExceededError) as exc:
+            records.append({
+                "k": k,
+                "q": target,
+                "n": graph.n,
+                "graph6": to_graph6(graph),
+                "steps": [list(step) for step in recipe.steps],
+            })
+        except (ConstructionError, BudgetExceededError, Graph6Error) as exc:
             failures.append((target, str(exc)))
 
-    records = [
-        {
-            "k": k,
-            "q": target,
-            "n": graph.n,
-            "graph6": to_graph6(graph),
-            "steps": [list(step) for step in recipe.steps],
-        }
-        for target, graph, recipe in results
-    ]
     if recipe_out is not None:
         for rec in records:
             recipe_out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        for _target, graph, _recipe in results:
-            out.write(to_graph6(graph) + "\n")
+            out.write(rec["graph6"] + "\n")
     elif config.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k", "q", "n", "graph6", "steps"])

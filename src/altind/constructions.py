@@ -47,7 +47,6 @@ _GADGETS: dict[str, tuple[int, list[tuple[int, int]], int]] = {
     "triangle": (3, [(0, 1), (0, 2), (1, 2)], 0),
     "edge": (2, [(0, 1)], 0),
     "vertex": (1, [], 0),
-    "path5": (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 0),
     "paw_shared": (4, [(0, 1), (0, 2), (1, 2), (0, 3)], 0),
     "paw_rim": (4, [(0, 1), (0, 2), (1, 2), (0, 3)], 1),
     "paw_pendant": (4, [(0, 1), (0, 2), (1, 2), (0, 3)], 3),
@@ -60,7 +59,6 @@ _PAIRS: dict[str, tuple[int, int, int]] = {
     "triangle": (-1, -2, 1),
     "edge": (-1, -1, 0),
     "vertex": (-1, 0, 0),
-    "path5": (1, 1, 0),
     "paw_shared": (-1, -1, 1),
     "paw_rim": (0, -1, 1),
     "paw_pendant": (1, -1, 1),
@@ -75,7 +73,6 @@ _KIND_ORDER = (
     "doubler",
     "edge",
     "vertex",
-    "path5",
 )
 
 Step = tuple
@@ -244,15 +241,6 @@ def _hub_candidates(k: int, q: int) -> list[tuple[Step, ...]]:
     return matches
 
 
-def _fallback_candidates(k: int, q: int) -> list[tuple[Step, ...]]:
-    """Bounded recipe search used only when the algebraic routes miss:
-    hub multisets for nearby predictions combined with pendant-path flips."""
-    out = []
-    for inner in _hub_candidates(k, -q):
-        out.append(inner + (("attach_pendant_path", 0, 3),))
-    return out
-
-
 def realize(
     k: int,
     q: int,
@@ -285,7 +273,6 @@ def realize(
         candidates.append(inner.steps + (("bridge_gadget", "doubler", 0),))
     else:
         candidates.extend(_hub_candidates(k, q))
-        candidates.extend(_fallback_candidates(k, q))
 
     for steps in candidates:
         g = _verify_target(steps, k, q, budget)

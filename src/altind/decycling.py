@@ -168,9 +168,9 @@ def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int
     def fits(unhit: "list[int]", avail: int, room: int) -> bool:
         """Whether at most ``room`` vertices of ``avail`` meet every mask of
         ``unhit``."""
-        budget.spend()
         if not unhit:
             return True
+        budget.spend()
         if packing(unhit, avail, room) > room:
             return False
         for v in bits(_fewest(unhit, avail)):

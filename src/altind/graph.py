@@ -194,8 +194,9 @@ def components_of(adj: tuple[int, ...], mask: int) -> list[int]:
 
 
 def induces_forest(adj: tuple[int, ...], mask: int) -> bool:
-    """Whether the subgraph induced by ``mask`` is acyclic: e = n - q."""
-    return subgraph_edge_count(adj, mask) == mask.bit_count() - len(components_of(adj, mask))
+    """Whether the subgraph induced by ``mask`` is acyclic: a graph is a
+    forest iff its 2-core is empty."""
+    return not two_core(adj, mask)
 
 
 def two_core(adj: tuple[int, ...], mask: int) -> int:
@@ -211,17 +212,6 @@ def two_core(adj: tuple[int, ...], mask: int) -> int:
                 mask ^= low
                 pending |= row
     return mask
-
-
-def subgraph_edge_count(adj: tuple[int, ...], mask: int) -> int:
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        total += (adj[v] & mask).bit_count()
-        m ^= low
-    return total // 2
 
 
 # -- named builders ----------------------------------------------------------

@@ -5,11 +5,12 @@ the vertex identity
 
     I(G; x) = I(G - v; x) + x * I(G - N[v]; x)
 
-pivoting on a maximum-degree vertex that lies on a cycle of the current
-component, multiplying across connected components, short-circuiting forest
-components with a tree DP, and memoizing per component bitmask of the
-top-level graph.  The alternating number is its value at -1, the total count
-its value at +1.
+which is exact for every vertex v.  It multiplies across connected
+components and memoizes per component bitmask of the top-level graph.  Each
+component is classified by its 2-core alone: an empty core means a tree,
+evaluated by a tree DP; otherwise the pivot is the core vertex with the most
+neighbours in the component, the lowest index on a tie.  The alternating
+number is the value at -1, the total count the value at +1.
 
 The coefficients, ``coeffs[k]`` the number of independent k-sets, are the
 base-2^(n+1) digits of I(G; 2^(n+1)).  They sum to at most 2^n, so no digit
@@ -24,44 +25,12 @@ all ``2^n`` vertex subsets and is deliberately unoptimized.
 from __future__ import annotations
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, bits, components_of, subgraph_edge_count, two_core
+from .graph import Graph, bits, components_of, two_core
 
 ORACLE_CAP = 25
 
 
-# -- topology helpers -----------------------------------------------------------
-
-
-def _on_cycle(adj: tuple[int, ...], core: int, v: int) -> bool:
-    """True when two neighbors of v are connected inside core - v."""
-    rest = core & ~(1 << v)
-    nb = adj[v] & core
-    while nb:
-        seed = nb & -nb
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for u in bits(frontier):
-                grow |= adj[u]
-            grow &= rest & ~comp
-            comp |= grow
-            frontier = grow
-        if (comp & adj[v]).bit_count() >= 2:
-            return True
-        nb &= ~comp
-    return False
-
-
-def _pivot(adj: tuple[int, ...], cmask: int) -> int:
-    """Pivot choice: max degree in the component among cycle vertices,
-    ties broken by lowest index.  The caller guarantees a cycle exists."""
-    core = two_core(adj, cmask)
-    candidates = sorted(bits(core), key=lambda v: (-(adj[v] & cmask).bit_count(), v))
-    for v in candidates:
-        if _on_cycle(adj, core, v):
-            return v
-    raise AssertionError("component was expected to contain a cycle")
+# -- tree DP ---------------------------------------------------------------------
 
 
 def _tree_order(adj: tuple[int, ...], cmask: int) -> tuple[list[int], dict[int, int]]:
@@ -124,14 +93,14 @@ class _IntEngine:
         if cached is not None:
             return cached
         self.budget.spend()
-        size = cmask.bit_count()
-        if size == 1:
+        adj = self.adj
+        if cmask.bit_count() == 1:
             val = 1 + self.x
-        elif subgraph_edge_count(self.adj, cmask) == size - 1:
-            val = _tree_eval(self.adj, cmask, self.x)
+        elif not (core := two_core(adj, cmask)):
+            val = _tree_eval(adj, cmask, self.x)
         else:
-            v = _pivot(self.adj, cmask)
-            closed = (self.adj[v] | 1 << v) & cmask
+            v = min(bits(core), key=lambda u: (-(adj[u] & cmask).bit_count(), u))
+            closed = (adj[v] | 1 << v) & cmask
             val = self.eval_mask(cmask ^ (1 << v)) + self.x * self.eval_mask(cmask & ~closed)
         self.memo[cmask] = val
         return val

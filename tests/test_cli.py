@@ -196,6 +196,46 @@ def test_generate_recipe_out_rejects_csv(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("mode", ["json", "csv", "recipe-out"])
+def test_generate_unencodable_graph_is_a_failed_target(capsys, tmp_path, mode):
+    # k = 9, q = 0 realizes nine doublers on a hub, 64 vertices, beyond
+    # what graph6 output allows; q = 512 gives 62 and still encodes.
+    sidecar = tmp_path / "r.jsonl"
+    flags = {"json": [], "csv": ["--format", "csv"], "recipe-out": ["--recipe-out", str(sidecar)]}
+    expected_out = "k,q,n,graph6,steps\n" if mode == "csv" else ""
+    code, out, err = run_cli(capsys, ["generate", "9", "0", "--density-k", "9", *flags[mode]])
+    assert (code, out) == (1, expected_out)
+    assert err == "realization failed for (k=9, q=0): graph on 64 vertices exceeds the configured cap 62\n"
+    assert not sidecar.exists() or sidecar.read_text() == ""
+    code, out, _ = run_cli(capsys, ["generate", "9", "512", "--density-k", "9"])
+    assert code == 0 and json.loads(out)["n"] == 62
+
+
+@pytest.mark.parametrize("recipe_out", [False, True])
+def test_generate_all_skips_an_unencodable_target(capsys, monkeypatch, tmp_path, recipe_out):
+    # A sweep at k = 9 takes tens of seconds, so the k = 1 sweep stands in,
+    # with target 0 realized by a 64-vertex graph.
+    import altind.constructions as constructions
+    from altind.graph import empty_graph
+
+    real = constructions.realize
+
+    def realize(k, q, **kwargs):
+        graph, recipe = real(k, q, **kwargs)
+        return (empty_graph(64), recipe) if q == 0 else (graph, recipe)
+
+    monkeypatch.setattr(constructions, "realize", realize)
+    sidecar = tmp_path / "r.jsonl"
+    argv = ["generate", "1", "--all"] + (["--recipe-out", str(sidecar)] if recipe_out else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err == "realization failed for (k=1, q=0): graph on 64 vertices exceeds the configured cap 62\n"
+    if recipe_out:
+        assert len(out.splitlines()) == 4
+        out = sidecar.read_text()
+    assert [json.loads(line)["q"] for line in out.splitlines()] == [-2, -1, 1, 2]
+
+
 def test_oracle_subcommand(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["oracle"], stdin="Bw\n", monkeypatch=monkeypatch)
     assert code == 0

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altind import Graph, bits, complete_graph, cycle_graph, disjoint_union, empty_graph, mask_of, path_graph
-from altind.graph import induces_forest
+from altind import (
+    Graph, bits, complete_graph, cycle_graph, disjoint_union, empty_graph, enumerate_labeled_graphs,
+    mask_of, path_graph,
+)
+from altind.graph import components_of, induces_forest
 
 from conftest import graphs, induced, low_bit_positions, without
 
@@ -84,6 +87,17 @@ def test_is_acyclic_matches_per_component_formulation(g):
         for comp in g.components()
     )
     assert induces_forest(g.adj, g.all_mask) == per_component
+
+
+def test_induces_forest_matches_edge_count_on_every_mask_to_n5():
+    # The reference is the definition: a graph with n vertices, e edges and
+    # q components is a forest iff e = n - q.
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            for mask in range(1 << n):
+                edges = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+                forest = edges == mask.bit_count() - len(components_of(g.adj, mask))
+                assert induces_forest(g.adj, mask) is forest
 
 
 def test_induced_subgraph_keeps_structure():

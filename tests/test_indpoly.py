@@ -8,6 +8,7 @@ from altind import (
     BudgetExceededError,
     Graph,
     alternating_number,
+    bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -18,6 +19,7 @@ from altind import (
     oracle_polynomial,
     path_graph,
 )
+from altind.graph import two_core
 
 from conftest import (
     brute_alternating, brute_count, brute_polynomial, graphs, low_bit_positions, without,
@@ -92,6 +94,21 @@ def test_engine_equals_oracle_exhaustively_to_n5():
             assert independence_polynomial(g, poly_budget) == oracle_polynomial(g)
             alternating_number(g, alt_budget)
             assert poly_budget.used == alt_budget.used
+
+
+def test_pivot_in_the_core_but_on_no_cycle():
+    # Two triangles joined through a hub 6 adjacent to 0 and 3, with
+    # pendant leaves 7 and 8.  The hub has the most neighbours of any
+    # 2-core vertex, so the engine pivots on it, though it lies on no cycle.
+    g = Graph.from_edges(9, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                             (6, 0), (6, 3), (6, 7), (6, 8)])
+    core = two_core(g.adj, g.all_mask)
+    assert core == 0b1111111
+    assert max(bits(core), key=lambda v: (g.degree(v), -v)) == 6
+    coeffs = oracle_polynomial(g)
+    assert independence_polynomial(g) == coeffs
+    assert alternating_number(g) == sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs))
+    assert independent_set_count(g) == sum(coeffs)
 
 
 @given(graphs(max_n=9))
