@@ -6,8 +6,8 @@ Usage: python3 scripts/output_digest.py SRC [WORKLOAD ...]
 SRC is the ``src`` directory of the version to run.  A WORKLOAD is one of the
 benchmark's workloads, built by ``python3 perfbench/corpus.py WORKLOAD 7``;
 ``enumerate-6``, every labeled graph on 6 vertices from ``altind enumerate
-6``; or ``malformed``, a short corpus with blank, malformed and non-ASCII
-lines; or ``generate``, which has no corpus and runs ``generate K --all
+6``; or ``malformed``, a short corpus with blank, malformed, non-ASCII and
+over-the-cap lines; or ``generate``, which has no corpus and runs ``generate K --all
 --density-k 5`` for K = 1..5 in JSON and CSV.  The default is all of them.
 On each corpus it runs ``verify`` and ``analyze`` in JSON and CSV at
 ``--jobs 1`` and ``2``, with ``--fail-fast``, and at budgets of 20 and 30
@@ -32,7 +32,12 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH_WORKLOADS = ("labeled-n6", "gnp-table", "gnp-branch", "adversarial")
 WORKLOADS = (*BENCH_WORKLOADS, "enumerate-6", "malformed", "generate")
 SEED = "7"
-MALFORMED = b"Bw\n\nC~\nnot graph6!\n\xff\nDhC\n\n@\nCl\nC~~\n"
+# The last three lines are over the 62-vertex cap (3-byte and 6-byte
+# headers for n = 63) and a truncated extended header.
+MALFORMED = (
+    b"Bw\n\nC~\nnot graph6!\n\xff\nDhC\n\n@\nCl\nC~~\n"
+    + b"~??~" + b"?" * 326 + b"\n~~?????~\n~?\n"
+)
 # The oracle enumerates all 2^n vertex subsets, so it runs on these alone.
 SMALL_GRAPHS = ("labeled-n6", "enumerate-6", "malformed")
 

@@ -58,11 +58,9 @@ _CONSTRUCTIONS = frozenset({
     "attach_pendant_path",
     "bridge_gadget",
     "build_recipe",
-    "doubler_attach",
     "doubler_chain",
     "glue_triangle",
     "realize",
-    "sign_flip_extend",
 })
 
 
@@ -120,9 +118,7 @@ __all__ = [
     "GadgetRecipe",
     "build_recipe",
     "attach_pendant_path",
-    "sign_flip_extend",
     "bridge_gadget",
-    "doubler_attach",
     "glue_triangle",
     "doubler_chain",
     "realize",

@@ -78,8 +78,11 @@ def _read_lines(path: str) -> list[str]:
     return text.readlines()
 
 
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit_json(out, record: dict) -> None:
-    out.write(json.dumps(record, separators=(",", ":")) + "\n")
+    out.write(_COMPACT_JSON.encode(record) + "\n")
 
 
 def _internal_error_row(header, error: InternalError) -> list[str]:
@@ -106,7 +109,7 @@ def _csv_cell(value) -> str:
 def _written(records, out, fmt: str, header, to_json=None, to_row=None):
     """Write each record as it arrives, as a JSON line or a CSV row under
     ``header``, then pass it on.  A record is a dict keyed by ``header``
-    unless ``to_json`` and ``to_row`` give its JSON object and CSV cells; an
+    unless ``to_json`` or ``to_row`` gives its JSON object or CSV cells; an
     :class:`InternalError` is written as its own record."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -190,7 +193,7 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
     written = _written(reports, out, config.fmt, _VERIFY_HEADER, report_to_dict, _verify_row)
     summary = summarize(written, parse_errors)
     if config.fmt == "csv":
-        print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
+        print(_COMPACT_JSON.encode(summary), file=sys.stderr)
     else:
         _emit_json(out, summary)
 
@@ -200,6 +203,14 @@ def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
 
 
 # -- generate ------------------------------------------------------------------
+
+
+_GENERATE_HEADER = ("k", "q", "n", "graph6", "steps")
+
+
+def _generate_row(record: dict) -> list:
+    steps = ";".join(" ".join(str(x) for x in step) for step in record["steps"])
+    return [record["k"], record["q"], record["n"], record["graph6"], steps]
 
 
 def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe_out: "TextIO | None", out) -> int:
@@ -225,17 +236,11 @@ def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe
 
     if recipe_out is not None:
         for rec in records:
-            recipe_out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            _emit_json(recipe_out, rec)
             out.write(rec["graph6"] + "\n")
-    elif config.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["k", "q", "n", "graph6", "steps"])
-        for rec in records:
-            steps = ";".join(" ".join(str(x) for x in step) for step in rec["steps"])
-            writer.writerow([rec["k"], rec["q"], rec["n"], rec["graph6"], steps])
     else:
-        for rec in records:
-            _emit_json(out, rec)
+        for _ in _written(records, out, config.fmt, _GENERATE_HEADER, to_row=_generate_row):
+            pass
 
     for target, message in failures:
         print(f"realization failed for (k={k}, q={target}): {message}", file=sys.stderr)

@@ -29,11 +29,12 @@ ternary decycling number is the number of triangle-bearing gadgets.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, cycle_graph, empty_graph, path_graph
+from .graph import Graph, cycle_graph, empty_graph
 from .decycling import min_ternary_decycling
 from .indpoly import alternating_number
 
@@ -85,27 +86,12 @@ class GadgetRecipe(NamedTuple):
     k: int
     q: int
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "q": self.q, "steps": [list(s) for s in self.steps]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GadgetRecipe":
-        return cls(
-            steps=tuple(tuple(s) for s in data["steps"]),
-            k=int(data["k"]),
-            q=int(data["q"]),
-        )
-
 
 def _base_graph(name: str) -> Graph:
     if name == "K1":
         return empty_graph(1)
     if name == "C3":
         return cycle_graph(3)
-    if name == "C6":
-        return cycle_graph(6)
-    if name.startswith("P") and name[1:].isdigit():
-        return path_graph(int(name[1:]))
     raise ValueError(f"unknown base graph {name!r}")
 
 
@@ -124,12 +110,6 @@ def attach_pendant_path(g: Graph, v: int, length: int) -> Graph:
     return _extend(g, length, edges)
 
 
-def sign_flip_extend(g: Graph, v: int) -> Graph:
-    """Pendant path of three at v; negates the alternating number and adds
-    no cycles, so the decycling invariants are untouched."""
-    return attach_pendant_path(g, v, 3)
-
-
 def bridge_gadget(g: Graph, v: int, kind: str) -> Graph:
     """Connect gadget ``kind`` to v through a fresh 2-edge bridge."""
     if not 0 <= v < g.n:
@@ -140,12 +120,6 @@ def bridge_gadget(g: Graph, v: int, kind: str) -> Graph:
     new_edges = [(v, m), (m, base + contact)]
     new_edges.extend((base + a, base + b) for a, b in edges)
     return _extend(g, 1 + size, new_edges)
-
-
-def doubler_attach(g: Graph, v: int) -> Graph:
-    """Bridge the doubling gadget onto v: alternating number doubles, the
-    ternary decycling number grows by one, connectivity is preserved."""
-    return bridge_gadget(g, v, "doubler")
 
 
 def glue_triangle(g: Graph, v: int) -> Graph:
@@ -208,12 +182,14 @@ _K1_RECIPES: dict[int, tuple[Step, ...]] = {
 }
 
 
-def _hub_candidates(k: int, q: int) -> list[tuple[Step, ...]]:
-    """Hub multisets over the gadget library whose predicted value is q and
-    predicted ternary decycling number is k, cheapest first."""
+@cache
+def _hub_table(k: int) -> dict[int, tuple[tuple[Step, ...], ...]]:
+    """Hub multisets over the gadget library with predicted ternary
+    decycling number k, keyed by predicted value, cheapest first."""
     phi_kinds = [kind for kind in _KIND_ORDER if _PAIRS[kind][2] == 1]
     free_kinds = [kind for kind in _KIND_ORDER if _PAIRS[kind][2] == 0]
-    matches = []
+    kinds = phi_kinds + free_kinds
+    table: dict[int, list[tuple[Step, ...]]] = {}
     phi_ranges = [range(k + 1)] * len(phi_kinds)
     free_ranges = [range(3) if kind == "edge" else range(2) for kind in free_kinds]
     for phi_counts in product(*phi_ranges):
@@ -221,24 +197,14 @@ def _hub_candidates(k: int, q: int) -> list[tuple[Step, ...]]:
             continue
         for free_counts in product(*free_ranges):
             plus, base = 1, 1
-            for kind, count in zip(phi_kinds, phi_counts):
-                p, b, _ = _PAIRS[kind]
-                plus *= p**count
-                base *= b**count
-            for kind, count in zip(free_kinds, free_counts):
-                p, b, _ = _PAIRS[kind]
-                plus *= p**count
-                base *= b**count
-            if plus - base != q:
-                continue
             steps: list[Step] = [("base", "K1")]
-            for kind, count in zip(phi_kinds, phi_counts):
+            for kind, count in zip(kinds, phi_counts + free_counts):
+                p, b, _ = _PAIRS[kind]
+                plus *= p**count
+                base *= b**count
                 steps.extend((("bridge_gadget", kind, 0),) * count)
-            for kind, count in zip(free_kinds, free_counts):
-                steps.extend((("bridge_gadget", kind, 0),) * count)
-            matches.append(tuple(steps))
-    matches.sort(key=lambda s: (len(s), s))
-    return matches
+            table.setdefault(plus - base, []).append(tuple(steps))
+    return {q: tuple(sorted(m, key=lambda s: (len(s), s))) for q, m in table.items()}
 
 
 def realize(
@@ -272,7 +238,7 @@ def realize(
         _, inner = realize(k - 1, q // 2, density_cap=density_cap, budget=budget)
         candidates.append(inner.steps + (("bridge_gadget", "doubler", 0),))
     else:
-        candidates.extend(_hub_candidates(k, q))
+        candidates.extend(_hub_table(k).get(q, ()))
 
     for steps in candidates:
         g = _verify_target(steps, k, q, budget)

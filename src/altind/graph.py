@@ -32,8 +32,7 @@ def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
 
 
 # _BYTE_BITS[k] is the table of byte k of a mask, for the 8 bytes of a
-# 64-bit mask; graph6 input has at most 62 vertices unless a caller raises
-# max_n.
+# 64-bit mask; graph6 input has at most 62 vertices.
 _BYTE_BITS = tuple(_byte_table(8 * k) for k in range(8))
 
 
@@ -147,9 +146,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""

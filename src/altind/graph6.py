@@ -3,8 +3,9 @@
 graph6 packs the upper triangle of the adjacency matrix column by column
 (x01, x02, x12, x03, ...) into 6-bit groups stored as printable bytes with a
 +63 offset.  The leading byte(s) encode the vertex count: a single byte for
-n <= 62, and 126-prefixed multi-byte forms beyond that.  One graph per line;
-an optional ``>>graph6<<`` header prefix is stripped.
+n <= 62, and 126-prefixed multi-byte forms beyond that, which are decoded
+only to report the graph as over the cap of 62 vertices.  One graph per
+line; an optional ``>>graph6<<`` header prefix is stripped.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ from typing import Iterable, Iterator
 from .graph import Graph
 
 HEADER = ">>graph6<<"
-DEFAULT_MAX_N = 62
-
-_EXT_1 = 126  # 63 + 63, marks the 3-byte vertex-count form
-_MAX_N_3BYTE = 258047
-_MAX_N_6BYTE = 68719476735
+MAX_N = 62  # the largest n with a one-byte vertex count
 
 
 class Graph6Error(ValueError):
     """Malformed or unsupported graph6 input."""
 
 
-# _pair_order's results by n: one entry per vertex count seen, at most
-# DEFAULT_MAX_N + 1 unless a caller raises max_n.
+# _pair_order's results by n: one entry per vertex count seen.
 _PAIR_ORDERS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
@@ -40,11 +36,11 @@ def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return order
 
 
-def parse_graph6(text: str, max_n: int = DEFAULT_MAX_N) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a :class:`Graph`.
 
     Raises :class:`Graph6Error` naming the byte offset for malformed input,
-    and rejects graphs on more than ``max_n`` vertices.
+    and rejects graphs on more than :data:`MAX_N` vertices.
     """
     line = text.strip()
     if line.startswith(HEADER):
@@ -73,8 +69,8 @@ def parse_graph6(text: str, max_n: int = DEFAULT_MAX_N) -> Graph:
         for k in range(2, 8):
             n = (n << 6) | data[k]
         pos = 8
-    if n > max_n:
-        raise Graph6Error(f"graph on {n} vertices exceeds the configured cap {max_n}")
+    if n > MAX_N:
+        raise Graph6Error(f"graph on {n} vertices exceeds the configured cap {MAX_N}")
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -99,21 +95,12 @@ def parse_graph6(text: str, max_n: int = DEFAULT_MAX_N) -> Graph:
     return Graph(n, rows)
 
 
-def to_graph6(g: Graph, max_n: int = DEFAULT_MAX_N) -> str:
+def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no trailing newline)."""
     n = g.n
-    if n > max_n:
-        raise Graph6Error(f"graph on {n} vertices exceeds the configured cap {max_n}")
-    if n <= 62:
-        head = [n + 63]
-    elif n <= _MAX_N_3BYTE:
-        head = [_EXT_1, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    elif n <= _MAX_N_6BYTE:
-        head = [_EXT_1, _EXT_1] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)]
-    else:
-        raise Graph6Error(f"graph on {n} vertices is not encodable in graph6")
-
-    out = bytearray(head)
+    if n > MAX_N:
+        raise Graph6Error(f"graph on {n} vertices exceeds the configured cap {MAX_N}")
+    out = bytearray([n + 63])
     group = 0
     filled = 0
     for i, j in _pair_order(n):

@@ -137,10 +137,11 @@ def independent_set_count(g: Graph, budget: "Budget | None" = None) -> int:
     return engine.eval_mask(g.all_mask)
 
 
-def oracle_polynomial(g: Graph, cap: int = ORACLE_CAP) -> list[int]:
-    """Reference coefficients by brute subset enumeration; refuses n > cap."""
-    if g.n > cap:
-        raise ValueError(f"oracle enumeration is limited to n <= {cap} (got n={g.n})")
+def oracle_polynomial(g: Graph) -> list[int]:
+    """Reference coefficients by brute subset enumeration; refuses
+    n > ORACLE_CAP."""
+    if g.n > ORACLE_CAP:
+        raise ValueError(f"oracle enumeration is limited to n <= {ORACLE_CAP} (got n={g.n})")
     n = g.n
     adj = g.adj
     coeffs = [0] * (n + 1)

@@ -118,7 +118,7 @@ def brute_count(g: Graph) -> int:
 def _induces_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
     """G[subset] connected and 2-regular, i.e. exactly a chordless cycle."""
     sub = induced(g, subset)
-    return all(sub.degree(v) == 2 for v in range(sub.n)) and sub.is_connected()
+    return all(row.bit_count() == 2 for row in sub.adj) and sub.is_connected()
 
 
 def brute_chordless_sets(g: Graph) -> set[frozenset[int]]:

@@ -124,6 +124,23 @@ def test_generate_single_target(capsys):
     assert record["q"] == 4 and record["graph6"]
 
 
+def test_generate_csv_rows_match_json_records(capsys):
+    # Both formats go through one writer: a CSV row holds the JSON record's
+    # fields, its steps joined as "op arg ...;op arg ...".
+    code, out, _ = run_cli(capsys, ["generate", "2", "--all"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    code, out, _ = run_cli(capsys, ["generate", "2", "--all", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[0] == "k,q,n,graph6,steps"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(records) == 9
+    for row, record in zip(rows, records):
+        steps = ";".join(" ".join(str(x) for x in step) for step in record["steps"])
+        assert row == {**{key: str(record[key]) for key in ("k", "q", "n", "graph6")},
+                       "steps": steps}
+
+
 def test_generate_precondition(capsys):
     code, _, err = run_cli(capsys, ["generate", "1", "3"])
     assert code == 2 and "2^k" in err
@@ -377,8 +394,7 @@ def test_construction_names_still_exported():
         "decycling_summary", "BoundsReport", "CheckResult", "CHECK_NAMES",
         "InternalError", "verify_graph", "run_corpus", "summarize",
         "ConstructionError", "GadgetRecipe", "build_recipe", "attach_pendant_path",
-        "sign_flip_extend", "bridge_gadget", "doubler_attach", "glue_triangle",
-        "doubler_chain", "realize",
+        "bridge_gadget", "glue_triangle", "doubler_chain", "realize",
     ]
     assert all(hasattr(altind, name) for name in altind.__all__)
     with pytest.raises(AttributeError):

@@ -11,7 +11,6 @@ from altind import (
     enumerate_labeled_graphs,
     iter_graph6,
     parse_graph6,
-    path_graph,
     to_graph6,
 )
 
@@ -82,16 +81,15 @@ def test_empty_string_rejected():
 
 
 def test_extended_count_beyond_cap_rejected():
-    big = to_graph6(empty_graph(63), max_n=100)
-    assert big.startswith("~")
-    with pytest.raises(Graph6Error, match="exceeds the configured cap"):
+    # The edgeless graph on 63 vertices: "~" and the count 63 in three
+    # 6-bit groups, then 63 * 62 / 2 = 1953 zero bits in 326 bytes.
+    big = "~??~" + "?" * 326
+    with pytest.raises(Graph6Error, match="graph on 63 vertices exceeds the configured cap 62"):
         parse_graph6(big)
-
-
-def test_extended_count_roundtrip_when_cap_raised():
-    g = path_graph(63)
-    text = to_graph6(g, max_n=100)
-    assert parse_graph6(text, max_n=100) == g
+    with pytest.raises(Graph6Error, match="graph on 63 vertices exceeds the configured cap 62"):
+        parse_graph6("~~?????~")
+    with pytest.raises(Graph6Error, match="truncated extended vertex count"):
+        parse_graph6("~?")
 
 
 def test_cap_applies_to_encoding():
