@@ -12,14 +12,16 @@ For each input graph the verifier evaluates, with exact integers:
 
 The chordless cycles are enumerated once per graph, into a census the
 solvers and the cycle-length hypothesis share.  ``verify`` and ``analyze``
-run the same four stages plus one of their own, each under its own fresh
+run the same four stages, and verify one more, each under its own fresh
 budget of ``budget_limit`` expansions; one that exhausts it marks only the
 checks that read it "not evaluated" and nulls only the analyze fields it
 computes (``error`` names the first such stage, in analyze's order):
 
   * cycle census:             every check; ternary and the halves' fields,
-  * alternating number:       every check but chain_upper; alternating,
-  * independent-set count:    (analyze only) independent_sets,
+  * alternating number:       every check but chain_upper; alternating and
+                              independent_sets (one independence-polynomial
+                              pass: I(G;-1) is the alternating sum of its
+                              coefficients and I(G;1) their plain sum),
   * phi solve:                decycling_bound; phi and its witness,
   * ternary half:             chain_lower and chain_upper; phi3,
                               middle_bound and their witnesses (phi3, then
@@ -52,7 +54,7 @@ from .cycles import _cycle_length_not_div3, cycle_census
 from .decycling import _phi_half, _ternary_half, cyclomatic_number
 from .graph import Graph, bits
 from .graph6 import iter_graph6
-from .indpoly import alternating_number, independent_set_count
+from .indpoly import independence_polynomial
 
 CHECK_NAMES = (
     "ternary_unit_bound",
@@ -110,15 +112,21 @@ def _attempt(limit: int, stage: str, fn, *args):
 
 def _stages(g: Graph, limit: int) -> tuple:
     """The ``(value, reason)`` pairs of the stages verify and analyze share:
-    the alternating number, the census, the phi half and the ternary half,
-    each under its own budget.  A blown census is both halves' reason."""
-    alternating = _attempt(limit, "alternating number", alternating_number, g)
+    the independence polynomial (the alternating-number stage), the census,
+    the phi half and the ternary half, each under its own budget.  A blown
+    census is both halves' reason."""
+    poly = _attempt(limit, "alternating number", independence_polynomial, g)
     census = _attempt(limit, "cycle census", cycle_census, g)
     if census[1]:
-        return alternating, census, census, census
+        return poly, census, census, census
     phi = _attempt(limit, "decycling number", _phi_half, g, census[0])
     ternary = _attempt(limit, "ternary decycling invariants", _ternary_half, g, census[0])
-    return alternating, census, phi, ternary
+    return poly, census, phi, ternary
+
+
+def _alternating(coeffs: "list[int] | None") -> "int | None":
+    """I(G;-1) from the coefficients of I(G;x), or None with them."""
+    return None if coeffs is None else sum(coeffs[::2]) - sum(coeffs[1::2])
 
 
 def verify_graph(
@@ -130,8 +138,9 @@ def verify_graph(
     """Evaluate every bound in scope on one graph, each stage under its own
     budget of ``budget_limit`` expansions (see the module docstring)."""
     limit = budget_limit if budget_limit is not None else DEFAULT_EXPANSIONS
-    ((alternating, alt_error), (census, census_error),
+    ((coeffs, alt_error), (census, census_error),
      (phi_half, phi_error), (ternary_half, ternary_error)) = _stages(g, limit)
+    alternating = _alternating(coeffs)
     magnitude = None if alternating is None else abs(alternating)
     not_div3, not_div3_error = None, census_error
     if census_error is None:
@@ -329,17 +338,19 @@ _ANALYZE_FIELDS = (
 
 
 def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
-    """One analyze record: the shared stages plus the independent-set count,
-    each under its own budget.  A field is null only when its own stage ran
-    out; ``error`` is the first such stage's reason."""
-    alternating, census, phi, ternary = _stages(graph, limit)
-    count = _attempt(limit, "independent-set count", independent_set_count, graph)
+    """One analyze record: the shared stages, each under its own budget.
+    ``alternating`` and ``independent_sets`` both read the polynomial.  A
+    field is null only when its own stage ran out; ``error`` is the first
+    such stage's reason."""
+    poly, census, phi, ternary = _stages(graph, limit)
+    coeffs = poly[0]
+    e, q = graph.edge_count(), graph.component_count()
     record = dict.fromkeys(_ANALYZE_FIELDS)
     record.update(
-        index=index, graph6=text, n=graph.n, e=graph.edge_count(),
-        q=graph.component_count(), nu=cyclomatic_number(graph),
-        alternating=alternating[0], independent_sets=count[0],
-        error=next((why for _, why in (census, alternating, count, phi, ternary) if why), None),
+        index=index, graph6=text, n=graph.n, e=e, q=q, nu=e - graph.n + q,
+        alternating=_alternating(coeffs),
+        independent_sets=None if coeffs is None else sum(coeffs),
+        error=next((why for _, why in (census, poly, phi, ternary) if why), None),
     )
     if census[0] is not None:
         record["ternary"] = not census[0].ternary

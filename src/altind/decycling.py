@@ -74,6 +74,13 @@ being larger, or of the same size and lexicographically later.  Once a
 smaller count replaces the seed, only a count above the best is cut, so the
 witness is still the first attaining set in (size, vertex tuple) order.
 
+A part whose seed S induces a clique, with count |S| + 1, needs no search.
+Every minimal transversal D of the part has |D| >= |S|, S being minimum, and
+counts at least |D| + 1: the empty set and the singletons.  So none counts
+less than S, and one that ties has size |S| and is a minimum transversal,
+which comes after S, the lexicographically smallest of them.  Every part
+whose seed is a single vertex takes this exit.
+
 Witnesses are re-verified with the independent acyclicity/ternary
 predicates, except an empty phi3 witness: re-checking G - {} = G would rerun
 the census's own enumerator on the census's own graph.  The re-checks run on
@@ -270,9 +277,13 @@ def _least_part_count(engine: _IntEngine, masks: "list[int]", seed: int) -> tupl
     later, so while the seed is best a branch is cut once its bound reaches
     the seed's count.  Once a smaller count replaces the seed, a branch is
     cut only when its bound exceeds the best count, so every set attaining
-    the minimum is reached and the tie-break sees them all.
+    the minimum is reached and the tie-break sees them all.  A seed that
+    induces a clique is returned at once (see the module docstring).
     """
-    best = (engine.eval_mask(seed), seed.bit_count(), bits(seed), seed)
+    count = engine.eval_mask(seed)
+    if count == seed.bit_count() + 1:
+        return count, seed
+    best = (count, seed.bit_count(), bits(seed), seed)
     # Cut a branch whose bound exceeds ``limit``: one below the seed's count
     # while the seed is best, the best count after.
     limit = best[0] - 1

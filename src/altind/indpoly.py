@@ -16,7 +16,10 @@ The coefficients, ``coeffs[k]`` the number of independent k-sets, are the
 base-2^(n+1) digits of I(G; 2^(n+1)).  They sum to at most 2^n, so no digit
 carries into the next, and digits read until the value runs out end at the
 independence number.  The width n + 1 rather than n keeps this true for
-n = 0, where I(G; x) = 1 = 2^0.
+n = 0, where I(G; x) = 1 = 2^0.  ``bounds._stages`` reads both the
+alternating number and the count off this one evaluation: the memo keys and
+pivots do not depend on x, so it charges the budget what either value alone
+would.
 
 :func:`oracle_polynomial` is the definition-level reference: it enumerates
 all ``2^n`` vertex subsets and is deliberately unoptimized.

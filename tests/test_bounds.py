@@ -9,7 +9,9 @@ from altind import (
     DEFAULT_EXPANSIONS,
     complete_graph,
     cycle_graph,
+    empty_graph,
     enumerate_labeled_graphs,
+    independent_set_count,
     parse_graph6,
     path_graph,
     run_corpus,
@@ -143,7 +145,7 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: alternating 11, census 65, phi 95, ternary half 46,
+    # Expansions: alternating 11, census 65, phi 89, ternary half 42,
     # hypothesis 0 (a 4-cycle is chordless, so no chord test runs).
     report = verify_graph(parse_graph6("JK@CpIWPUZ_"), budget_limit=80)
     assert _not_evaluated(report) == {"decycling_bound"}
@@ -151,18 +153,16 @@ def test_blown_phi_solve_marks_only_decycling_bound():
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: census 6, phi 10 (at the limit, which only a count above
-    # it blows), ternary half 14, hypothesis 2 (one edge tried, one
-    # separation test).
-    report = verify_graph(complete_graph(4), budget_limit=10)
+    # Expansions: alternating 3, census 6, phi 7, ternary half 10,
+    # hypothesis 2 (one edge tried, one separation test).
+    report = verify_graph(complete_graph(4), budget_limit=9)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
 
 
 def test_blown_ternary_half_nulls_only_its_analyze_fields():
-    # Expansions: alternating 3, count 3, census 6, phi 10 (at the limit,
-    # which only a count above it blows), ternary half 14.
-    rec = _analyze_worker(1, "C~", complete_graph(4), 10)
+    # Expansions: polynomial 3, census 6, phi 7, ternary half 10.
+    rec = _analyze_worker(1, "C~", complete_graph(4), 9)
     assert rec == {
         "index": 1,
         "graph6": "C~",
@@ -180,16 +180,44 @@ def test_blown_ternary_half_nulls_only_its_analyze_fields():
         "middle_bound": None,
         "middle_witness": None,
         "error": "ternary decycling invariants not evaluated: instance too large: "
-        "expansion budget of 10 exhausted",
+        "expansion budget of 9 exhausted",
     }
+
+
+def test_blown_polynomial_nulls_both_of_its_analyze_fields():
+    # Expansions: polynomial 5 (one per isolated vertex), census, phi and
+    # ternary half 0.  One pass gives both I(G;-1) and I(G;1), so both are
+    # null, and the error names the alternating-number stage.
+    rec = _analyze_worker(2, "D??", empty_graph(5), 4)
+    assert rec == {
+        "index": 2,
+        "graph6": "D??",
+        "n": 5,
+        "e": 0,
+        "q": 5,
+        "nu": 0,
+        "ternary": True,
+        "alternating": None,
+        "independent_sets": None,
+        "phi": 0,
+        "phi_witness": [],
+        "phi3": 0,
+        "phi3_witness": [],
+        "middle_bound": 1,
+        "middle_witness": [],
+        "error": "alternating number not evaluated: instance too large: "
+        "expansion budget of 4 exhausted",
+    }
+    assert _analyze_worker(2, "D??", empty_graph(5), 5)["independent_sets"] == 32
 
 
 @pytest.mark.parametrize("limit", [DEFAULT_EXPANSIONS, 20, 30, 60])
 def test_verify_and_analyze_agree(limit):
     # Each analyze field reads the same stage as a verify check: it is null
     # exactly when that check is not evaluated, and where both are evaluated
-    # they meet the benchmark gate's equalities.  At 20, D^_'s phi solve (6
-    # expansions) and ternary half (13) each fit a budget, but not one shared.
+    # they meet the benchmark gate's equalities.  At 20, D^_'s census (8
+    # expansions), phi solve (4) and ternary half (10) each fit a budget, but
+    # not one shared.
     paired = {
         "ternary": "ternary_unit_bound",
         "phi": "decycling_bound",
@@ -202,6 +230,8 @@ def test_verify_and_analyze_agree(limit):
         checks = report.checks
         rec = _analyze_worker(0, text, g, limit)
         assert rec["alternating"] == report.alternating, text
+        if rec["independent_sets"] is not None:
+            assert rec["independent_sets"] == independent_set_count(g), text
         for field, name in paired.items():
             assert (rec[field] is None) == (checks[name].error is not None), (text, field)
         if rec["ternary"] is not None:

@@ -7,6 +7,7 @@ from altind import (
     Budget,
     BudgetExceededError,
     Graph,
+    attach_pendant_path,
     chordless_cycles,
     complete_graph,
     cycle_graph,
@@ -27,7 +28,7 @@ from altind import (
     to_graph6,
 )
 from altind.cycles import cycle_census
-from altind.decycling import _min_transversal, _phi_half
+from altind.decycling import _min_transversal, _phi_half, _ternary_half
 from altind.graph import induces_forest, mask_of
 
 from conftest import (
@@ -246,6 +247,10 @@ MIDDLE_CASES = {
     # A count below the seed's is found at {0, 6}, then tied by the earlier
     # {0, 3}: once the seed is replaced, ties are no longer cut.
     "tie-after-seed": parse_graph6("Ffol_"),
+    # The seed induces a clique, so each part returns it with no search.
+    "k5": complete_graph(5),
+    "k4-pendant-path": attach_pendant_path(complete_graph(4), 0, 3),
+    "triangles-disjoint": disjoint_union(cycle_graph(3), cycle_graph(3)),
 }
 
 
@@ -256,6 +261,16 @@ def test_pruned_middle_search_matches_full_enumeration(name):
     assert middle_bound(g) == expected
     res = decycling_summary(g)
     assert (res.middle_bound, res.middle_witness) == expected
+
+
+def test_a_clique_seed_ends_the_middle_search():
+    # K4's phi3 witness {0, 1} counts 3 = |S| + 1, the least any minimal
+    # transversal can count, so no MMCS node is charged: 10 expansions for
+    # the phi3 search, its re-check and the two counts of the witness.
+    g = complete_graph(4)
+    budget = Budget(10**6)
+    assert _ternary_half(g, cycle_census(g, Budget(10**6)), budget) == (0b11, 3, 0b11)
+    assert budget.used == 10
 
 
 def test_doubler_chain_middle_search_is_linear():
