@@ -27,8 +27,9 @@ computes (``error`` names the first such stage, in analyze's order):
                               middle_bound and their witnesses (phi3, then
                               the middle bound searched from its witness),
   * cycle-length hypothesis:  (verify only) cyclomatic_bound (the census's
-                              cycle lengths, then the polynomial chord
-                              test; see ``cycles``).
+                              cycle lengths, then a component pass per
+                              census cycle that could carry a chord; see
+                              ``cycles``).
 
 Hypothesis failure marks a check not applicable, never unsatisfied; a budget
 failure downgrades it to "not evaluated" with the reason recorded.  A
@@ -54,7 +55,7 @@ from .cycles import _cycle_length_not_div3, cycle_census
 from .decycling import _phi_half, _ternary_half, cyclomatic_number
 from .graph import Graph, bits
 from .graph6 import iter_graph6
-from .indpoly import independence_polynomial
+from .indpoly import _value_at, independence_polynomial
 
 CHECK_NAMES = (
     "ternary_unit_bound",
@@ -124,11 +125,6 @@ def _stages(g: Graph, limit: int) -> tuple:
     return poly, census, phi, ternary
 
 
-def _alternating(coeffs: "list[int] | None") -> "int | None":
-    """I(G;-1) from the coefficients of I(G;x), or None with them."""
-    return None if coeffs is None else sum(coeffs[::2]) - sum(coeffs[1::2])
-
-
 def verify_graph(
     g: Graph,
     index: int = 0,
@@ -140,7 +136,7 @@ def verify_graph(
     limit = budget_limit if budget_limit is not None else DEFAULT_EXPANSIONS
     ((coeffs, alt_error), (census, census_error),
      (phi_half, phi_error), (ternary_half, ternary_error)) = _stages(g, limit)
-    alternating = _alternating(coeffs)
+    alternating = None if coeffs is None else _value_at(coeffs, -1)
     magnitude = None if alternating is None else abs(alternating)
     not_div3, not_div3_error = None, census_error
     if census_error is None:
@@ -348,8 +344,8 @@ def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
     record = dict.fromkeys(_ANALYZE_FIELDS)
     record.update(
         index=index, graph6=text, n=graph.n, e=e, q=q, nu=e - graph.n + q,
-        alternating=_alternating(coeffs),
-        independent_sets=None if coeffs is None else sum(coeffs),
+        alternating=None if coeffs is None else _value_at(coeffs, -1),
+        independent_sets=None if coeffs is None else _value_at(coeffs, 1),
         error=next((why for _, why in (census, poly, phi, ternary) if why), None),
     )
     if census[0] is not None:

@@ -39,7 +39,7 @@ from .bounds import (
     summarize,
 )
 from .graph6 import Graph6Error, enumerate_labeled_graphs, to_graph6
-from .indpoly import oracle_polynomial
+from .indpoly import _value_at, oracle_polynomial
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -272,8 +272,7 @@ def _oracle_worker(index: int, text: str, graph, _limit) -> dict:
         coeffs = oracle_polynomial(graph)
     except ValueError as exc:
         return {**record, "coefficients": None, "alternating": None, "error": str(exc)}
-    alternating = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
-    return {**record, "coefficients": coeffs, "alternating": alternating, "error": None}
+    return {**record, "coefficients": coeffs, "alternating": _value_at(coeffs, -1), "error": None}
 
 
 def cmd_oracle(config: RunConfig, lines: list[str], out) -> int:

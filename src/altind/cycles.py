@@ -18,8 +18,8 @@ reference recursion in the tests yields the same cycles in the same order
 for the same charge.
 
 Whether some simple cycle, chordless or not, has length not divisible by 3
-is decided from the chordless cycles plus a polynomial chord test, without
-walking the simple cycles.  G has such a cycle (call this the claim) iff
+is decided from the chordless cycles alone, without walking the simple
+cycles.  G has such a cycle (call this the claim) iff
 
   (A) some chordless cycle has length not divisible by 3, or
   (B) some cycle of G has a chord.
@@ -32,17 +32,17 @@ splits C into cycles C1 and C2, both shorter than C, so both are chordless
 length not divisible by 3 it is the witness; otherwise
 |C| = |C1| + |C2| - 2 = 1 (mod 3) and C is.
 
-No cycle has a chord exactly when every 2-connected block of G is minimally
-2-connected (Dirac 1967, Plummer 1968).  B is decided edge by edge: uv is a
-chord of some cycle iff G - uv holds two internally disjoint u-v paths.
-Each endpoint of a chord has two cycle neighbours besides the other, so only
-edges between vertices of degree at least 3 are tried.  u and v are not
-adjacent in G - uv, so by Menger's theorem the two paths exist iff some u-v
-path P exists and no single vertex w separates u from v in G - uv - w.  A
-separating vertex lies on every u-v path, so testing the interior vertices
-of one path P is enough.  The test charges one expansion per edge tried and
-one per separation test, and costs O(m n (n + m)) bit operations, whatever
-the number of chordless cycles.
+B is read off the census too: some cycle has a chord iff some chordless
+cycle C has an edge uv whose ends both have a neighbour in one component K
+of G - V(C).  If they do, a u-v path through K together with C - uv is a
+cycle, and uv is its chord.  Conversely, split a shortest chorded cycle at
+its chord uv into the chordless cycles C1 and C2 as above.  They meet only
+in u and v, so C2 less u and v is a path in G - V(C1), inside one component
+K, and u and v each have a neighbour on it.  Each end of such an edge has
+two neighbours on C and one off it, so a chordless cycle with no edge
+between two vertices of degree at least 3 is skipped without charge.  Every
+other one costs one expansion and one :func:`components_of` pass: at most
+one pass per chordless cycle the census already paid for.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .budget import Budget, ensure_budget
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, components_of, mask_of
 
 
 class CycleReport(NamedTuple):
@@ -123,52 +123,6 @@ def _cycle_order(adj: tuple[int, ...], mask: int) -> list[int]:
     return order
 
 
-def _bfs_layers(adj: tuple[int, ...], u: int, v: int, avoid: int = 0) -> "list[int] | None":
-    """Breadth-first layers from ``u`` in G - uv - ``avoid`` (a vertex mask
-    without u and v), up to the last one before ``v``; None when v is not
-    reached."""
-    layers = [1 << u]
-    seen = 1 << u | 1 << v | avoid
-    frontier = adj[u] & ~seen
-    while frontier:
-        layers.append(frontier)
-        seen |= frontier
-        reach = 0
-        for w in bits(frontier):
-            reach |= adj[w]
-        if reach >> v & 1:
-            return layers
-        frontier = reach & ~seen
-    return None
-
-
-def _is_chord(adj: tuple[int, ...], u: int, v: int, budget: Budget) -> bool:
-    """True when the edge uv is a chord of some cycle: G - uv is u-v
-    connected, and no interior vertex of one u-v path separates u from v."""
-    layers = _bfs_layers(adj, u, v)
-    if layers is None:
-        return False
-    w = v
-    for layer in reversed(layers[1:]):
-        before = layer & adj[w]
-        w = (before & -before).bit_length() - 1
-        budget.spend()
-        if _bfs_layers(adj, u, v, 1 << w) is None:
-            return False
-    return True
-
-
-def _has_chorded_cycle(adj: tuple[int, ...], n: int, budget: Budget) -> bool:
-    """True when some cycle has a chord (disjunct B of the module docstring)."""
-    heavy = mask_of(v for v in range(n) if adj[v].bit_count() >= 3)
-    for u in bits(heavy):
-        for v in bits(adj[u] & heavy & (-1 << (u + 1))):
-            budget.spend()
-            if _is_chord(adj, u, v, budget):
-                return True
-    return False
-
-
 def cycle_census(g: Graph, budget: "Budget | None" = None) -> CycleCensus:
     """Enumerate the chordless cycles of ``g`` once, as vertex masks."""
     budget = ensure_budget(budget)
@@ -185,8 +139,7 @@ def chordless_cycles(g: Graph, budget: "Budget | None" = None) -> CycleReport:
     """Enumerate every chordless cycle and classify lengths mod 3.
 
     Each cycle is its vertex tuple in canonical orientation.  The report is
-    read off one :func:`cycle_census`, plus the chord test when every
-    chordless cycle is ternary.
+    read off one :func:`cycle_census`.
     """
     budget = ensure_budget(budget)
     census = cycle_census(g, budget)
@@ -217,10 +170,22 @@ def _is_ternary_mask(adj: tuple[int, ...], alive: int, budget: Budget) -> bool:
 
 def _cycle_length_not_div3(g: Graph, census: CycleCensus, budget: Budget) -> bool:
     """True when some simple cycle of ``g`` has length not divisible by 3,
-    read off its census plus the chord test (the module docstring's rule)."""
-    return len(census.masks) > len(census.ternary) or _has_chorded_cycle(
-        g.adj, g.n, budget
-    )
+    read off its census (the module docstring's rule)."""
+    if len(census.masks) > len(census.ternary):
+        return True
+    adj = g.adj
+    heavy = mask_of(v for v in range(g.n) if adj[v].bit_count() >= 3)
+    for cycle in census.masks:
+        ends = cycle & heavy
+        if not any(adj[u] & ends for u in bits(ends)):
+            continue  # no edge of the cycle joins two vertices of degree >= 3
+        budget.spend()
+        parts = components_of(adj, g.all_mask & ~cycle)
+        for u in bits(ends):
+            for v in bits(adj[u] & ends & (-1 << (u + 1))):
+                if any(adj[u] & part and adj[v] & part for part in parts):
+                    return True
+    return False
 
 
 def has_cycle_length_not_div3(g: Graph, budget: "Budget | None" = None) -> bool:

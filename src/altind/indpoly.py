@@ -9,17 +9,17 @@ which is exact for every vertex v.  It multiplies across connected
 components and memoizes per component bitmask of the top-level graph.  Each
 component is classified by its 2-core alone: an empty core means a tree,
 evaluated by a tree DP; otherwise the pivot is the core vertex with the most
-neighbours in the component, the lowest index on a tie.  The alternating
-number is the value at -1, the total count the value at +1.
+neighbours in the component, the lowest index on a tie.
 
-The coefficients, ``coeffs[k]`` the number of independent k-sets, are the
-base-2^(n+1) digits of I(G; 2^(n+1)).  They sum to at most 2^n, so no digit
-carries into the next, and digits read until the value runs out end at the
-independence number.  The width n + 1 rather than n keeps this true for
-n = 0, where I(G; x) = 1 = 2^0.  ``bounds._stages`` reads both the
-alternating number and the count off this one evaluation: the memo keys and
-pivots do not depend on x, so it charges the budget what either value alone
-would.
+For a whole graph the engine runs at one point only.  The coefficients,
+``coeffs[k]`` the number of independent k-sets, are the base-2^(n+1) digits
+of I(G; 2^(n+1)).  They sum to at most 2^n, so no digit carries into the
+next, and digits read until the value runs out end at the independence
+number.  The width n + 1 rather than n keeps this true for n = 0, where
+I(G; x) = 1 = 2^0.  :func:`_value_at` reads I(G; x) at any other x off the
+coefficients: the alternating number is the value at -1, the total count
+the value at +1.  The memo keys and pivots do not depend on x, so the one
+pass charges the budget what an evaluation at -1 or +1 alone would.
 
 :func:`oracle_polynomial` is the definition-level reference: it enumerates
 all ``2^n`` vertex subsets and is deliberately unoptimized.
@@ -128,16 +128,22 @@ def independence_polynomial(g: Graph, budget: "Budget | None" = None) -> list[in
     return coeffs
 
 
+def _value_at(coeffs: list[int], x: int) -> int:
+    """I(G; x) from the coefficients of I(G; x), by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
 def alternating_number(g: Graph, budget: "Budget | None" = None) -> int:
     """I(G; -1): even-size independent sets minus odd-size ones."""
-    engine = _IntEngine(g.adj, -1, ensure_budget(budget))
-    return engine.eval_mask(g.all_mask)
+    return _value_at(independence_polynomial(g, budget), -1)
 
 
 def independent_set_count(g: Graph, budget: "Budget | None" = None) -> int:
     """I(G; 1): the total number of independent sets, the empty set included."""
-    engine = _IntEngine(g.adj, 1, ensure_budget(budget))
-    return engine.eval_mask(g.all_mask)
+    return _value_at(independence_polynomial(g, budget), 1)
 
 
 def oracle_polynomial(g: Graph) -> list[int]:

@@ -75,6 +75,26 @@ def theta_graph(*lengths: int) -> Graph:
     return subdivided(2, [(0, 1, length - 1) for length in lengths])
 
 
+def theta_ring(segments: int, length: int) -> Graph:
+    """Poles 0..segments-1 in a ring, each consecutive pair joined by two
+    internally disjoint paths of ``length`` edges, at least 2."""
+    ring = [(i, (i + 1) % segments, length - 1) for i in range(segments)]
+    return subdivided(segments, ring + ring)
+
+
+def random_k_tree(rng: random.Random, k: int, n: int) -> Graph:
+    """A random k-tree on n >= k + 1 vertices: K_{k+1}, then each new vertex
+    joined to a k-clique already present.  It is chordal, so every chordless
+    cycle is a triangle."""
+    edges = list(combinations(range(k + 1), 2))
+    cliques = list(combinations(range(k + 1), k))
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges += [(u, v) for u in base]
+        cliques += [tuple(w for w in base if w != u) + (v,) for u in base]
+    return Graph.from_edges(n, edges)
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     """An isomorphic copy of g under a random vertex permutation."""
     perm = list(range(g.n))

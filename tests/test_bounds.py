@@ -154,7 +154,7 @@ def test_blown_phi_solve_marks_only_decycling_bound():
 
 def test_blown_ternary_half_marks_only_the_chain():
     # Expansions: alternating 3, census 6, phi 7, ternary half 10,
-    # hypothesis 2 (one edge tried, one separation test).
+    # hypothesis 1 (one component pass, off the first triangle).
     report = verify_graph(complete_graph(4), budget_limit=9)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
@@ -245,8 +245,8 @@ def test_verify_and_analyze_agree(limit):
 
 def test_twice_subdivided_k7_hypothesis_within_budget():
     # Every cycle has length divisible by 3 and no two branch vertices are
-    # adjacent, so the census (17,158 expansions) decides it and the chord
-    # test tries no edge; walking the simple cycles took 26,120.
+    # adjacent, so the census (17,158 expansions) decides it and the
+    # component rule examines no cycle; walking the simple cycles took 26,120.
     report = verify_graph(subdivided_complete(7, 2), budget_limit=20_000)
     check = report.checks["cyclomatic_bound"]
     assert check.error is None and check.applicable is False

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from altind import (
     Budget,
     BudgetExceededError,
+    Graph,
     chordless_cycles,
     complete_graph,
     cycle_graph,
@@ -22,8 +23,8 @@ from altind import (
 )
 from altind.cycles import (
     _chordless_iter,
+    _cycle_length_not_div3,
     _cycle_order,
-    _has_chorded_cycle,
     _is_ternary_mask,
     cycle_census,
 )
@@ -35,10 +36,13 @@ from conftest import (
     brute_is_ternary,
     graphs,
     random_graph,
+    random_k_tree,
     random_subdivided,
     recursive_chordless_walk,
     relabeled,
+    subdivided_complete,
     theta_graph,
+    theta_ring,
     walk_has_cycle_not_div3,
     without,
 )
@@ -171,6 +175,35 @@ def test_hypothesis_matches_walk_on_subdivided_graphs():
         _assert_hypothesis_matches_walk(relabeled(g, rng))
 
 
+def test_hypothesis_matches_walk_on_k_trees():
+    # Chordal, so every chordless cycle is a triangle, and the component
+    # rule alone decides whether some cycle has a chord.
+    rng = random.Random(5)
+    for _ in range(60):
+        k = rng.randrange(1, 5)
+        g = random_k_tree(rng, k, rng.randrange(k + 1, 11))
+        _assert_hypothesis_matches_walk(g)
+        _assert_hypothesis_matches_walk(relabeled(g, rng))
+
+
+@pytest.mark.parametrize(
+    "g, spent",
+    [
+        pytest.param(complete_graph(4), 1, id="K4"),
+        pytest.param(subdivided_complete(7, 2), 0, id="subdivided-k7"),
+        pytest.param(Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), 0,
+                     id="forest"),
+    ],
+)
+def test_hypothesis_charge(g, spent):
+    # One expansion per census cycle with an edge between two vertices of
+    # degree >= 3: K4's first triangle settles it, and no edge of the
+    # subdivided K7 joins two branch vertices, its only ones of degree >= 3.
+    budget = Budget()
+    _cycle_length_not_div3(g, cycle_census(g), budget)
+    assert budget.used == spent
+
+
 @pytest.mark.parametrize(
     "g",
     [pytest.param(doubler_chain(k)[0], id=f"doubler{k}") for k in range(1, 7)]
@@ -178,10 +211,15 @@ def test_hypothesis_matches_walk_on_subdivided_graphs():
         pytest.param(parse_graph6("Cz"), id="diamond"),
         pytest.param(theta_graph(3, 3, 3), id="theta333"),
         pytest.param(parse_graph6("LhEG_C@?G?_P_C"), id="hexagons-in-series"),
+        # Every chordless cycle is ternary (9, 12 or 15 in the first, 6 or 12
+        # in the ring's 20) and no cycle has a chord.
+        pytest.param(subdivided_complete(5, 2), id="subdivided-k5"),
+        pytest.param(theta_ring(4, 3), id="theta-ring"),
     ],
 )
 def test_hypothesis_matches_walk_on_named_graphs(g):
     _assert_hypothesis_matches_walk(g)
+    _assert_hypothesis_matches_walk(relabeled(g, random.Random(g.n)))
 
 
 def test_hypothesis_does_not_walk_simple_cycles():
@@ -200,14 +238,13 @@ def test_acyclic_graphs_are_ternary_and_cycle_free(g):
 
 
 def test_budget_exhaustion_is_an_error():
-    from altind import Graph
-
     # Complete bipartite: ternary, so the census cannot exit early.
     k44 = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
     with pytest.raises(BudgetExceededError):
         is_ternary(k44, Budget(3))
     # Disjoint triangles: the predicate reads the whole census, 12
-    # expansions, before the chord test (which has no edge to try here).
+    # expansions, before the component rule (which examines no cycle here:
+    # no vertex has degree 3).
     triangles = Graph.from_edges(
         12, [(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]
     )
@@ -248,13 +285,12 @@ def _assert_walk_matches_recursion(g, alive):
     assert census.ternary == tuple(mask_of(c) for c in expected if len(c) % 3 == 0)
     assert budget.used == expected_budget.used
 
-    chord_budget = Budget()
-    if all(len(c) % 3 == 0 for c in expected):
-        _has_chorded_cycle(adj, g.n, chord_budget)
+    hypothesis_budget = Budget()
+    _cycle_length_not_div3(g, census, hypothesis_budget)
     budget = Budget()
     report = chordless_cycles(g, budget)
     assert report.chordless_cycles == tuple(tuple(c) for c in expected)
-    assert budget.used == expected_budget.used + chord_budget.used
+    assert budget.used == expected_budget.used + hypothesis_budget.used
 
 
 def _random_alive(g, rng):

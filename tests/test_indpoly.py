@@ -85,8 +85,8 @@ def test_oracle_refuses_large_graphs():
 
 
 def test_engine_equals_oracle_exhaustively_to_n5():
-    # The coefficients come from the alternating number's engine at another
-    # point, so both spend the same expansions.
+    # The alternating number is read off these coefficients, so both spend
+    # the same expansions.
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             poly_budget, alt_budget = Budget(), Budget()
