@@ -42,11 +42,15 @@ record, and the other graphs still run.
 Every corpus run (``run_corpus``, and ``verify``, ``analyze`` and ``oracle``
 in the CLI) takes one path: the whole input is parsed first, then each
 graph's record is yielded as it finishes, in input order for any job count,
-so memory holds the parsed input but not the records.
+so memory holds the parsed input but not the records.  With ``jobs`` above
+one, workers are forked from the parsed corpus (POSIX only): graph i runs in
+process i mod jobs, the parent being process 0, and only the records travel
+back, pickled over one pipe per worker.
 """
 
 from __future__ import annotations
 
+import os
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -170,7 +174,7 @@ def verify_graph(
     if not_div3_error:
         checks["cyclomatic_bound"] = _not_evaluated(not_div3_error)
     else:
-        nu = cyclomatic_number(g)
+        nu = cyclomatic_number(g) if not_div3 else 0
         checks["cyclomatic_bound"] = bounded(not_div3, (1 << nu) - nu, magnitude)
 
     if ternary_error:
@@ -297,16 +301,71 @@ def _corpus_records(
 
 def _mapped(run, graphs: list, jobs: int) -> Iterator:
     """``map(run, graphs)``, over ``min(jobs, len(graphs))`` processes when
-    that is more than one."""
+    that is more than one.
+
+    The parent forks ``jobs - 1`` children (POSIX only).  Child k inherits
+    ``graphs``, so no graph is sent to it; it runs ``graphs[k::jobs]`` and
+    pickles each ``(ok, value)`` back on its own pipe.  The parent runs the
+    graphs ``i % jobs == 0`` itself and yields every result in input order,
+    re-raising a child's exception.  Closing the iterator, or any exception,
+    closes the pipes and kills and reaps every child.  The program runs no
+    threads, so forking it is safe.
+    """
     jobs = min(jobs, len(graphs))
     if jobs < 2:
         yield from map(run, graphs)
         return
-    # Imported here: a serial run never pays for it.
-    import multiprocessing
+    # Imported here: a serial run never pays for them.
+    import pickle
+    import signal
 
-    with multiprocessing.Pool(processes=jobs) as pool:
-        yield from pool.imap(run, graphs, chunksize=max(1, len(graphs) // (jobs * 8)))
+    children, pipes = [], []
+    try:
+        for k in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(run, graphs[k::jobs], write_fd)
+            os.close(write_fd)
+            children.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        for i, item in enumerate(graphs):
+            k = i % jobs
+            if k == 0:
+                yield run(item)
+                continue
+            try:
+                ok, value = pickle.load(pipes[k - 1])
+            except EOFError:
+                raise RuntimeError(f"--jobs worker {k} exited before sending record {i}") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(run, items: list, fd: int) -> None:
+    """A forked child's whole life: ``(True, run(item))`` for each item,
+    pickled to ``fd`` as it finishes, or ``(False, exc)`` once and stop.
+    Never returns, so no exception (a closed pipe included) resumes the
+    parent's code in the child, and never flushes the parent's stdio."""
+    import pickle
+
+    try:
+        with open(fd, "wb") as out:
+            try:
+                for item in items:
+                    out.write(pickle.dumps((True, run(item))))
+                    out.flush()
+            except Exception as exc:
+                out.write(pickle.dumps((False, exc)))
+    finally:
+        os._exit(0)
 
 
 def _verify_worker(index: int, text: str, graph: Graph, limit: "int | None") -> BoundsReport:
@@ -369,10 +428,11 @@ def run_corpus(
     """Verify a graph6 stream.
 
     Parsing is sequential; per-graph verification fans out over ``jobs``
-    processes with results in input order, so output is byte-identical for
-    any job count.  Returns (reports, parse_errors, summary) where parse
-    errors are (lineno, text, message) triples; a graph that trips an
-    internal check has an :class:`InternalError` in its place.
+    processes, the caller's and ``jobs - 1`` forked ones, with results in
+    input order, so output is byte-identical for any job count.  Returns
+    (reports, parse_errors, summary) where parse errors are (lineno, text,
+    message) triples; a graph that trips an internal check has an
+    :class:`InternalError` in its place.
     """
     records, parse_errors = _corpus_records(_verify_worker, lines, budget_limit, jobs, fail_fast)
     reports = list(records)

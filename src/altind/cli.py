@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import NamedTuple, TextIO
 
@@ -298,7 +299,7 @@ _FLAGS = {
     "--strict": dict(action="store_true",
                      help="treat budget-skipped checks as a failing exit (code 3)"),
     "--jobs": dict(type=int, default=1, metavar="N",
-                   help="parallel worker processes (default 1)"),
+                   help="processes, the parent and N-1 forked workers (default 1)"),
     "--fail-fast": dict(action="store_true",
                         help="stop at the first malformed input line"),
 }
@@ -354,6 +355,9 @@ def main(argv: "list[str] | None" = None) -> int:
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
     if config.budget_expansions <= 0 or config.jobs <= 0:
         print("budgets and job counts must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if config.jobs > 1 and not hasattr(os, "fork"):
+        print("--jobs above 1 needs os.fork, which this platform lacks", file=sys.stderr)
         return EXIT_INPUT
 
     if args.command == "generate":

@@ -103,8 +103,9 @@ class Graph:
 
     def __setstate__(self, state):
         # Stores the fields unchecked.  Unpickling calls this without
-        # __init__: a pickled graph was validated when first built, and
-        # pickles come only from this program's own worker pool.
+        # __init__: a pickled graph was validated when first built.  The
+        # CLI's --jobs workers are forked and inherit their graphs, so the
+        # program itself never unpickles one.
         for name, value in zip(Graph.__slots__, state):
             object.__setattr__(self, name, value)
 

@@ -323,29 +323,85 @@ def test_each_record_is_written_before_the_next_graph_starts(monkeypatch, comman
 
 
 def test_jobs_start_no_more_workers_than_graphs(capsys, tmp_path, monkeypatch):
-    import multiprocessing
+    forks = []
+    real_fork = os.fork
 
-    asked = []
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-    class SerialPool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Bw\nC~\nCl\n")
     code, out, _ = run_cli(capsys, ["verify", "--input", str(corpus), "--jobs", "64"])
     assert code == 0 and len(out.splitlines()) == 4
-    assert asked == [3]
+    # Three graphs: the parent runs one, so two workers.
+    assert len(forks) == 2
+
+    forks.clear()
+    corpus.write_text("Bw\n")
+    code, out, _ = run_cli(capsys, ["verify", "--input", str(corpus), "--jobs", "64"])
+    assert code == 0 and len(out.splitlines()) == 2
+    assert forks == []
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_run_leaves_no_child_process(capsys, tmp_path, monkeypatch):
+    import altind.bounds
+
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\nCl\n")
+    for argv in (["verify", "--jobs", "2"], ["analyze", "--jobs", "3"]):
+        code, out, _ = run_cli(capsys, argv + ["--input", str(corpus)])
+        assert code == 0 and len(out.splitlines()) >= 3
+        _assert_no_child_process()
+
+    # Closed after its first record, before the worker's record is read.
+    records, _ = altind.bounds._corpus_records(
+        altind.bounds._verify_worker, ["Bw", "C~", "Cl"], None, 2
+    )
+    assert next(records).graph6 == "Bw"
+    records.close()
+    _assert_no_child_process()
+
+    # At --jobs 2 the second graph, K4, runs in the worker.
+    stages = altind.bounds._stages
+
+    def failing(g, limit):
+        if g.edge_count() == 6:
+            raise RuntimeError("stage failed on K4")
+        return stages(g, limit)
+
+    monkeypatch.setattr(altind.bounds, "_stages", failing)
+    for command in ("verify", "analyze"):
+        with pytest.raises(RuntimeError, match="^stage failed on K4$"):
+            main([command, "--input", str(corpus), "--jobs", "2"])
+        _assert_no_child_process()
+
+    # A worker that cannot send its exception ends its pipe early.
+    class LocalError(Exception):
+        pass
+
+    def unpicklable(g, limit):
+        if g.edge_count() == 6:
+            raise LocalError("a local class does not pickle")
+        return stages(g, limit)
+
+    monkeypatch.setattr(altind.bounds, "_stages", unpicklable)
+    with pytest.raises(RuntimeError, match="^--jobs worker 1 exited before sending record 1$"):
+        main(["verify", "--input", str(corpus), "--jobs", "2"])
+    _assert_no_child_process()
+
+
+def test_jobs_above_one_need_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run_cli(capsys, ["verify", "--jobs", "2"], stdin="Bw\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "--jobs above 1 needs os.fork, which this platform lacks\n")
+    assert run_cli(capsys, ["verify", "--jobs", "1"], stdin="Bw\n", monkeypatch=monkeypatch)[0] == 0
 
 
 def test_invalid_budget_rejected(capsys, monkeypatch):
@@ -357,24 +413,34 @@ def test_invalid_budget_rejected(capsys, monkeypatch):
             assert (code, out, err) == (2, "", "budgets and job counts must be positive\n")
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_no_numpy(tmp_path):
     # Every CLI run pays the package import before its first graph: numpy
-    # alone would be most of it, and a serial verify or analyze uses neither
-    # the worker pool, the dataclass machinery nor the constructions.
+    # alone would be most of it, and a verify or analyze uses neither the
+    # dataclass machinery nor the constructions.  A parallel run forks its
+    # workers without multiprocessing, whose import and pool start-up cost
+    # more than a short corpus's work.
     src = str(Path(altind.__file__).resolve().parents[1])
-    probe = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, altind.cli; print(sorted(m for m in ('numpy', 'multiprocessing',"
-            " 'dataclasses', 'altind.constructions') if m in sys.modules))",
-        ],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\nCl\n")
+    parallel_run = (
+        "import io, sys, altind.cli; out, sys.stdout = sys.stdout, io.StringIO();"
+        f" code = altind.cli.main(['verify', '--jobs', '2', '--input', {str(corpus)!r}]);"
+        " lines = sys.stdout.getvalue().count('\\n'); sys.stdout = out; print(code, lines)"
     )
-    assert probe.stdout.strip() == "[]"
+    for code, expected in (("import sys, altind.cli", ""), (parallel_run, "0 4\n")):
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                code + "; print(sorted(m for m in ('numpy', 'multiprocessing',"
+                " 'dataclasses', 'altind.constructions') if m in sys.modules))",
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout == expected + "[]\n"
 
 
 def test_construction_names_still_exported():

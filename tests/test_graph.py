@@ -132,8 +132,8 @@ def test_graph_is_immutable():
 
 
 def test_pickle_state_is_n_and_adj_without_validating_again(monkeypatch):
-    # Worker processes receive their graphs pickled; they were validated
-    # when parsed, so restoring them must not pay for it twice.
+    # A pickled graph was validated when first built, so restoring it must
+    # not pay for it twice.
     g = without(cycle_graph(6), [0, 3])
     assert g.__getstate__() == (g.n, g.adj) == (4, (2, 1, 8, 4))
     data = pickle.dumps(g)
