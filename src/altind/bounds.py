@@ -152,7 +152,7 @@ def verify_graph(
         if not applicable:
             return CheckResult(applicable=False)
         if value is None:
-            return _not_evaluated(alt_error or "value not evaluated")
+            return _not_evaluated(alt_error)
         return CheckResult(
             applicable=True,
             bound=bound,

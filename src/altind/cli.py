@@ -8,7 +8,8 @@ on budget with --strict.
 ``verify``, ``analyze`` and ``oracle`` run one loop: the input is parsed
 first, then each record is written as its graph finishes, in input order
 for any ``--jobs``; parse errors, violations and internal errors go to
-stderr after the last record.
+stderr after the last record.  A reader that closes stdout early also gets
+exit code 1, with nothing on stderr.
 
 A graph whose solvers fail a witness re-check or a cross-check (an internal
 error) gets one record in place of its own, ``{"index", "graph6", "n",
@@ -25,7 +26,7 @@ import io
 import json
 import os
 import sys
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .budget import Budget, BudgetExceededError, DEFAULT_EXPANSIONS
 from .bounds import (
@@ -48,20 +49,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 ENUMERATE_MAX_N = 6
-
-
-class RunConfig(NamedTuple):
-    """Parsed invocation: one subcommand plus the flags it reads; flags a
-    subcommand does not take keep their defaults."""
-
-    command: str
-    input: str = "-"
-    fmt: str = "json"
-    budget_expansions: int = DEFAULT_EXPANSIONS
-    density_k: int = 3
-    strict: bool = False
-    jobs: int = 1
-    fail_fast: bool = False
 
 
 def _read_lines(path: str) -> list[str]:
@@ -155,21 +142,36 @@ def _report_errors(parse_errors, internal: list[dict], violations=()) -> int:
     return EXIT_OK
 
 
-# -- analyze -------------------------------------------------------------------
+# -- analyze / oracle ------------------------------------------------------------
 
 
-def cmd_analyze(config: RunConfig, lines: list[str], out) -> int:
+def cmd_records(worker, header, args: argparse.Namespace, lines: list[str], out) -> int:
+    """``analyze`` or ``oracle``: one record per graph under ``header``,
+    whose ``error`` field fails ``--strict`` (oracle takes neither
+    ``--strict`` nor ``--jobs``, so they keep their defaults)."""
     records, parse_errors = _corpus_records(
-        _analyze_worker, lines, config.budget_expansions, config.jobs, config.fail_fast
+        worker, lines, args.budget_expansions, args.jobs, args.fail_fast
     )
     internal, skipped = [], False
-    for record in _written(records, out, config.fmt, _ANALYZE_FIELDS):
+    for record in _written(records, out, args.fmt, header):
         if isinstance(record, InternalError):
             internal.append(record._asdict())
         elif record["error"]:
             skipped = True
     code = _report_errors(parse_errors, internal)
-    return code or (EXIT_BUDGET if config.strict and skipped else EXIT_OK)
+    return code or (EXIT_BUDGET if args.strict and skipped else EXIT_OK)
+
+
+_ORACLE_FIELDS = ("index", "graph6", "n", "coefficients", "alternating", "error")
+
+
+def _oracle_worker(index: int, text: str, graph, _limit) -> dict:
+    record = {"index": index, "graph6": text, "n": graph.n}
+    try:
+        coeffs = oracle_polynomial(graph)
+    except ValueError as exc:
+        return {**record, "coefficients": None, "alternating": None, "error": str(exc)}
+    return {**record, "coefficients": coeffs, "alternating": _value_at(coeffs, -1), "error": None}
 
 
 # -- verify --------------------------------------------------------------------
@@ -187,20 +189,20 @@ def _verify_row(report) -> list:
     return row
 
 
-def cmd_verify(config: RunConfig, lines: list[str], out) -> int:
+def cmd_verify(args: argparse.Namespace, lines: list[str], out) -> int:
     reports, parse_errors = _corpus_records(
-        _verify_worker, lines, config.budget_expansions, config.jobs, config.fail_fast
+        _verify_worker, lines, args.budget_expansions, args.jobs, args.fail_fast
     )
-    written = _written(reports, out, config.fmt, _VERIFY_HEADER, report_to_dict, _verify_row)
+    written = _written(reports, out, args.fmt, _VERIFY_HEADER, report_to_dict, _verify_row)
     summary = summarize(written, parse_errors)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         print(_COMPACT_JSON.encode(summary), file=sys.stderr)
     else:
         _emit_json(out, summary)
 
     code = _report_errors(parse_errors, summary.get("internal_errors", []), summary["violations"])
     not_evaluated = sum(c["not_evaluated"] for c in summary["checks"].values())
-    return code or (EXIT_BUDGET if config.strict and not_evaluated else EXIT_OK)
+    return code or (EXIT_BUDGET if args.strict and not_evaluated else EXIT_OK)
 
 
 # -- generate ------------------------------------------------------------------
@@ -214,17 +216,17 @@ def _generate_row(record: dict) -> list:
     return [record["k"], record["q"], record["n"], record["graph6"], steps]
 
 
-def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe_out: "TextIO | None", out) -> int:
+def cmd_generate(args: argparse.Namespace, recipe_out: "TextIO | None", out) -> int:
     # Imported here: no other subcommand builds constructions.
     from .constructions import ConstructionError, realize
 
-    targets = list(range(-(1 << k), (1 << k) + 1)) if sweep else [q]
+    k = args.k
+    targets = list(range(-(1 << k), (1 << k) + 1)) if args.all else [args.q]
     records = []
     failures = []
     for target in targets:
         try:
-            graph, recipe = realize(k, target, density_cap=config.density_k,
-                                    budget=Budget(config.budget_expansions))
+            graph, recipe = realize(k, target, budget=Budget(args.budget_expansions))
             records.append({
                 "k": k,
                 "q": target,
@@ -240,7 +242,7 @@ def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe
             _emit_json(recipe_out, rec)
             out.write(rec["graph6"] + "\n")
     else:
-        for _ in _written(records, out, config.fmt, _GENERATE_HEADER, to_row=_generate_row):
+        for _ in _written(records, out, args.fmt, _GENERATE_HEADER, to_row=_generate_row):
             pass
 
     for target, message in failures:
@@ -248,7 +250,7 @@ def cmd_generate(config: RunConfig, k: int, q: "int | None", sweep: bool, recipe
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-# -- enumerate / oracle ----------------------------------------------------------
+# -- enumerate -------------------------------------------------------------------
 
 
 def cmd_enumerate(n: int, out) -> int:
@@ -262,25 +264,6 @@ def cmd_enumerate(n: int, out) -> int:
     for graph in enumerate_labeled_graphs(n):
         out.write(to_graph6(graph) + "\n")
     return EXIT_OK
-
-
-_ORACLE_FIELDS = ("index", "graph6", "n", "coefficients", "alternating", "error")
-
-
-def _oracle_worker(index: int, text: str, graph, _limit) -> dict:
-    record = {"index": index, "graph6": text, "n": graph.n}
-    try:
-        coeffs = oracle_polynomial(graph)
-    except ValueError as exc:
-        return {**record, "coefficients": None, "alternating": None, "error": str(exc)}
-    return {**record, "coefficients": coeffs, "alternating": _value_at(coeffs, -1), "error": None}
-
-
-def cmd_oracle(config: RunConfig, lines: list[str], out) -> int:
-    records, parse_errors = _corpus_records(_oracle_worker, lines, None, 1, config.fail_fast)
-    written = _written(records, out, config.fmt, _ORACLE_FIELDS)
-    internal = [r._asdict() for r in written if isinstance(r, InternalError)]
-    return _report_errors(parse_errors, internal)
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -320,6 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument(name, **_FLAGS[name])
 
+    # Every subcommand's namespace holds every flag, at its default where
+    # the subcommand does not take it.
+    defaults = argparse.ArgumentParser(add_help=False)
+    add_flags(defaults, _FLAGS)
+    parser.set_defaults(**vars(defaults.parse_args([])))
+
     p_analyze = sub.add_parser("analyze", help="per-graph invariants as JSON/CSV")
     add_flags(p_analyze, _CORPUS_FLAGS)
 
@@ -346,17 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VIOLATION
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         return cmd_enumerate(args.n, sys.stdout)
 
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
-    if config.budget_expansions <= 0 or config.jobs <= 0:
+    if args.budget_expansions <= 0 or args.jobs <= 0:
         print("budgets and job counts must be positive", file=sys.stderr)
         return EXIT_INPUT
-    if config.jobs > 1 and not hasattr(os, "fork"):
+    if args.jobs > 1 and not hasattr(os, "fork"):
         print("--jobs above 1 needs os.fork, which this platform lacks", file=sys.stderr)
         return EXIT_INPUT
 
@@ -364,33 +362,36 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.all == (args.q is not None):
             print("generate needs either a target q or --all", file=sys.stderr)
             return EXIT_INPUT
-        if not 1 <= args.k <= config.density_k:
-            print(f"k must be between 1 and --density-k = {config.density_k}", file=sys.stderr)
+        if not 1 <= args.k <= args.density_k:
+            print(f"k must be between 1 and --density-k = {args.density_k}", file=sys.stderr)
             return EXIT_INPUT
         if not args.all and abs(args.q) > 1 << args.k:
             print(f"|q| must be at most 2^k = {1 << args.k}", file=sys.stderr)
             return EXIT_INPUT
-        if args.recipe_out is not None and config.fmt == "csv":
+        if args.recipe_out is not None and args.fmt == "csv":
             print("--recipe-out prints bare graph6 lines and takes no --format csv",
                   file=sys.stderr)
             return EXIT_INPUT
         if args.recipe_out is None:
-            return cmd_generate(config, args.k, args.q, args.all, None, sys.stdout)
+            return cmd_generate(args, None, sys.stdout)
         try:
             recipe_out = open(args.recipe_out, "w", encoding="ascii")
         except OSError as exc:
             print(f"cannot write {args.recipe_out}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         with recipe_out:
-            return cmd_generate(config, args.k, args.q, args.all, recipe_out, sys.stdout)
+            return cmd_generate(args, recipe_out, sys.stdout)
 
     try:
-        lines = _read_lines(config.input)
+        lines = _read_lines(args.input)
     except OSError as exc:
-        print(f"cannot read {config.input}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    command = {"analyze": cmd_analyze, "verify": cmd_verify, "oracle": cmd_oracle}
-    return command[args.command](config, lines, sys.stdout)
+    if args.command == "verify":
+        return cmd_verify(args, lines, sys.stdout)
+    if args.command == "analyze":
+        return cmd_records(_analyze_worker, _ANALYZE_FIELDS, args, lines, sys.stdout)
+    return cmd_records(_oracle_worker, _ORACLE_FIELDS, args, lines, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -207,12 +207,7 @@ def _hub_table(k: int) -> dict[int, tuple[tuple[Step, ...], ...]]:
     return {q: tuple(sorted(m, key=lambda s: (len(s), s))) for q, m in table.items()}
 
 
-def realize(
-    k: int,
-    q: int,
-    density_cap: int = 3,
-    budget: "Budget | None" = None,
-) -> tuple[Graph, GadgetRecipe]:
+def realize(k: int, q: int, budget: "Budget | None" = None) -> tuple[Graph, GadgetRecipe]:
     """A connected graph with ternary decycling number k and I(G;-1) = q.
 
     Every candidate is re-verified by the exact engines before being
@@ -221,8 +216,6 @@ def realize(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k > density_cap:
-        raise ValueError(f"k={k} exceeds the density cap {density_cap}")
     if abs(q) > 1 << k:
         raise ValueError(f"|q| must be at most 2^k = {1 << k}")
     budget = ensure_budget(budget)
@@ -235,7 +228,7 @@ def realize(
         steps.extend((("bridge_gadget", "doubler", 0),) * k)
         candidates.append(tuple(steps))
     elif q % 2 == 0:
-        _, inner = realize(k - 1, q // 2, density_cap=density_cap, budget=budget)
+        _, inner = realize(k - 1, q // 2, budget)
         candidates.append(inner.steps + (("bridge_gadget", "doubler", 0),))
     else:
         candidates.extend(_hub_table(k).get(q, ()))

@@ -397,6 +397,35 @@ def test_parallel_run_leaves_no_child_process(capsys, tmp_path, monkeypatch):
     _assert_no_child_process()
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "6"], ["verify", "--jobs", "2"]])
+def test_closed_stdout_exits_1_quietly(tmp_path, argv):
+    # A reader that stops early (``altind enumerate 6 | head -1``) closes the
+    # pipe while altind still writes.  verify gets every labeled graph on
+    # n <= 5, whose records overflow a pipe buffer.  The run is the leader
+    # of its own process group, so a worker left behind would still be in it.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(
+        to_graph6(g) + "\n" for n in range(6) for g in enumerate_labeled_graphs(n)
+    ))
+    src = str(Path(altind.__file__).resolve().parents[1])
+    with open(corpus, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altind", *argv],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            start_new_session=True,
+        )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    with proc.stderr:
+        assert (code, proc.stderr.read()) == (1, b"")
+
+
 def test_jobs_above_one_need_fork(capsys, monkeypatch):
     monkeypatch.delattr(os, "fork")
     code, out, err = run_cli(capsys, ["verify", "--jobs", "2"], stdin="Bw\n", monkeypatch=monkeypatch)

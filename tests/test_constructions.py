@@ -130,10 +130,8 @@ def test_realize_rejects_bad_targets():
         realize(1, 3)
     with pytest.raises(ValueError, match="positive"):
         realize(0, 0)
-    with pytest.raises(ValueError, match="density cap"):
-        realize(4, 1)
-    # Raising the cap is allowed; even targets reduce to the doubling chain.
-    g, _ = realize(4, -6, density_cap=4)
+    # Even targets reduce to the doubling chain.
+    g, _ = realize(4, -6)
     assert alternating_number(g) == -6 and min_ternary_decycling(g)[0] == 4
 
 

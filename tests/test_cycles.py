@@ -95,6 +95,25 @@ def test_census_matches_subset_oracle_exhaustively_to_n5():
             assert listed == brute_chordless_sets(g)
 
 
+def test_census_matches_networkx_at_mid_sizes():
+    # networkx's chordless_cycles (Dias et al.'s starting-triplet search) is
+    # an independent enumerator, at sizes the subset oracle cannot reach.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    family = [
+        random_graph(rng, n, p)
+        for n, p in ((20, 0.25), (25, 0.18), (30, 0.14), (35, 0.11), (40, 0.09), (40, 0.1))
+    ]
+    family += [random_k_tree(rng, 2, 30), random_k_tree(rng, 3, 30)]
+    family += [subdivided_complete(5, 1), subdivided_complete(5, 2), theta_ring(5, 3)]
+    for g in family:
+        for h in (g, relabeled(g, rng)):
+            reference = nx.Graph(h.edges())
+            reference.add_nodes_from(range(h.n))
+            expected = [mask_of(c) for c in nx.chordless_cycles(reference) if len(c) >= 3]
+            assert sorted(cycle_census(h).masks) == sorted(expected)
+
+
 def test_is_ternary_examples():
     assert is_ternary(cycle_graph(4))
     assert not is_ternary(cycle_graph(3))
