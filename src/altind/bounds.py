@@ -308,8 +308,9 @@ def _mapped(run, graphs: list, jobs: int) -> Iterator:
     pickles each ``(ok, value)`` back on its own pipe.  The parent runs the
     graphs ``i % jobs == 0`` itself and yields every result in input order,
     re-raising a child's exception.  Closing the iterator, or any exception,
-    closes the pipes and kills and reaps every child.  The program runs no
-    threads, so forking it is safe.
+    closes the pipes and kills and reaps every child.  A child holds no read
+    end of any pipe, so one whose parent died without that cleanup exits on
+    its next write.  The program runs no threads, so forking it is safe.
     """
     jobs = min(jobs, len(graphs))
     if jobs < 2:
@@ -325,6 +326,11 @@ def _mapped(run, graphs: list, jobs: int) -> Iterator:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
+                # Hold no read end, so that a write after the parent dies
+                # fails with EPIPE instead of blocking once the pipe fills.
+                os.close(read_fd)
+                for pipe in pipes:
+                    pipe.close()
                 _serve(run, graphs[k::jobs], write_fd)
             os.close(write_fd)
             children.append(pid)

@@ -7,15 +7,25 @@ last vertex and non-adjacent to every interior vertex; adjacency to the start
 closes a cycle.  Each cycle is produced once, in canonical orientation (start
 at the smallest vertex, second vertex smaller than last).
 
+A walk from s through its neighbour a yields a cycle only where it closes at
+a *closer*, a neighbour b > a of s.  A closer is *blocked* once it is
+adjacent to an interior path vertex, since closing at it would leave that
+edge as a chord.  The interior only grows along a path, so once every closer
+is blocked no extension of the path closes a cycle the walk yields, and the
+walk stops extending it (it still closes at the last vertex's own
+neighbours).  A start a with no closer, s's last neighbour above s, is not
+walked at all.  Neither cut drops a cycle or reorders the rest.
+
 The walk keeps its own stack instead of recursing: one frame per path vertex
-after the start, holding the path's vertex mask, its interior mask and the
-extensions of the last vertex still to try.  It yields each cycle as its
-vertex mask and length, and the canonical vertex order is read back off the
-mask, since a chordless cycle's vertex set fixes it.  The walk visits cycles
-in depth-first order, extensions in ascending vertex order, and charges one
-expansion per path extension, the two-vertex start path included; the
-reference recursion in the tests yields the same cycles in the same order
-for the same charge.
+after the start, holding the path's vertex mask, its interior mask, the
+neighbours of the path without s (the closers its extensions find blocked)
+and the extensions of the last vertex still to try.  It yields each cycle as
+its vertex mask and length, and the canonical vertex order is read back off
+the mask, since a chordless cycle's vertex set fixes it.  The walk visits
+cycles in depth-first order, extensions in ascending vertex order, and
+charges one expansion per path extension, the two-vertex start path
+included; the unpruned reference recursion in the tests yields the same
+cycles in the same order, and charges at least as much.
 
 Whether some simple cycle, chordless or not, has length not divisible by 3
 is decided from the chordless cycles alone, without walking the simple
@@ -84,15 +94,21 @@ def _chordless_iter(adj: tuple[int, ...], alive: int, budget: Budget) -> Iterato
     for s in bits(alive):
         start = 1 << s
         above = alive & (-1 << (s + 1))
-        for a in bits(adj[s] & above):
+        firsts = adj[s] & above
+        for a in bits(firsts):
+            closers = firsts & (-1 << (a + 1))
+            if not closers:
+                break  # a is s's last neighbour above s: no cycle closes
             budget.spend()
             mask = start | 1 << a
+            row = adj[a]
             # One frame per path vertex past s: the path's mask, its interior
-            # (the path without s and its last vertex), and the last vertex's
-            # extensions still to try.
-            stack = [(mask, 0, iter(bits(adj[a] & above & ~mask)))]
+            # (the path without s and its last vertex), the neighbours of the
+            # path without s (the closers blocked after one more extension),
+            # and the last vertex's extensions still to try.
+            stack = [(mask, 0, row, iter(bits(row & above & ~mask)))]
             while stack:
-                mask, interior, todo = stack[-1]
+                mask, interior, blocked, todo = stack[-1]
                 for w in todo:
                     row = adj[w]
                     if row & interior:
@@ -100,10 +116,11 @@ def _chordless_iter(adj: tuple[int, ...], alive: int, budget: Budget) -> Iterato
                     if row & start:
                         if a < w:
                             yield mask | 1 << w, len(stack) + 2
-                    else:
+                    elif closers & ~blocked:
                         budget.spend()
                         grown = mask | 1 << w
-                        stack.append((grown, mask ^ start, iter(bits(row & above & ~grown))))
+                        stack.append((grown, mask ^ start, blocked | row,
+                                      iter(bits(row & above & ~grown))))
                         break
                 else:
                     stack.pop()

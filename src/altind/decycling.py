@@ -36,6 +36,15 @@ so the result is the lexicographically smallest minimum transversal.  A
 vertex on no unhit cycle is skipped: a completion of the least size that
 held it would still be one without it, one vertex smaller.
 
+The self-reduction carries the last set a feasibility search found, starting
+with the one that proved k feasible: at most k of its vertices lie above the
+decided ones, and they meet every unhit mask.  When it holds the next vertex
+v, v is included with no search: the carried set without v is a completion
+of the rest in one vertex less, drawn from the vertices above v.  Otherwise
+the search runs; a success replaces the carried set, and a failure keeps it,
+since it does not hold v.  Each decision is the one the search would make,
+and the searches run are a subset of those without the carried set.
+
 Every node carries the cycles still unhit as a list in index order, filtered
 when a vertex is taken, so the packing and the branch choice walk only
 those.
@@ -51,9 +60,13 @@ minimal, and each minimal set is emitted once.
 Middle bound: the same MMCS walk, pruned by the independent-set count.  The
 count of G[S] never decreases as S grows, and MMCS only grows S along a
 branch, so a partial set that already counts more than the best minimal set
-found cannot lead to a better one.  The ternary masks first split into
-parts, the components of G[U] for U their union, and each part is searched
-on its own:
+found cannot lead to a better one.  The count is carried down the branch as
+i(S + v) = i(S) + i(S - N(v)): the independent sets without v, and those
+with it.  When v has no neighbour in S, S - N(v) is S and the second term is
+the count already carried, so only a v with a neighbour in S costs a count.
+
+The ternary masks first split into parts, the components of G[U] for U their
+union, and each part is searched on its own:
 
   * every chordless cycle is connected, so its mask lies in one part;
   * a set is a minimal transversal iff it is a union of one minimal
@@ -172,37 +185,43 @@ def _min_transversal(masks: "tuple[int, ...]", budget: Budget) -> tuple[int, int
                     break
         return count
 
-    def fits(unhit: "list[int]", avail: int, room: int) -> bool:
-        """Whether at most ``room`` vertices of ``avail`` meet every mask of
-        ``unhit``."""
+    def fits(unhit: "list[int]", avail: int, room: int) -> "int | None":
+        """At most ``room`` vertices of ``avail`` meeting every mask of
+        ``unhit``, as a mask, or None when there are none."""
         if not unhit:
-            return True
+            return 0
         budget.spend()
         if packing(unhit, avail, room) > room:
-            return False
+            return None
         for v in bits(_fewest(unhit, avail)):
             bit = 1 << v
             avail &= ~bit
-            if fits([m for m in unhit if not m & bit], avail, room - 1):
-                return True
-        return False
+            found = fits([m for m in unhit if not m & bit], avail, room - 1)
+            if found is not None:
+                return found | bit
+        return None
 
     reach = _union(masks)
     k = packing(masks, reach, len(masks))
-    while not fits(masks, reach, k):
+    while (held := fits(masks, reach, k)) is None:
         k += 1
     # Decide the vertices on unhit masks in ascending order, each included
-    # iff the masks it leaves unhit still fit above it.
+    # iff the masks it leaves unhit still fit above it, with no search when
+    # ``held`` holds it (the module docstring's carried set).
     chosen = 0
     while masks:
         bit = reach & -reach
         reach ^= bit
         rest = [m for m in masks if not m & bit]
-        if fits(rest, reach, k - 1):
-            chosen |= bit
-            k -= 1
-            masks = rest
-            reach &= _union(rest)
+        if not held & bit:
+            found = fits(rest, reach, k - 1)
+            if found is None:
+                continue
+            held = found
+        chosen |= bit
+        k -= 1
+        masks = rest
+        reach &= _union(rest)
     return chosen.bit_count(), chosen
 
 
@@ -216,7 +235,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
     """
     on = _incidence(masks)
 
-    def search(chosen: int, value, cand: int, crit: dict[int, int], uncov: int,
+    def search(chosen: int, value, cand: int, crit: list[int], uncov: int,
                unhit: "list[int]") -> bool:
         budget.spend()
         if not uncov:
@@ -225,11 +244,11 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
         cand &= ~branch
         for v in bits(branch):
             hit = on[v]
-            kept = {u: c & ~hit for u, c in crit.items()}
-            if all(kept.values()):
+            kept = [c & ~hit for c in crit]
+            if all(kept):
                 grown = grow(chosen, value, v, uncov & ~hit)
                 if grown is not None:
-                    kept[v] = uncov & hit
+                    kept.append(uncov & hit)
                     bit = 1 << v
                     if search(chosen | bit, grown, cand, kept, uncov & ~hit,
                               [m for m in unhit if not m & bit]):
@@ -237,7 +256,7 @@ def _mmcs(masks: "tuple[int, ...]", budget: Budget, grow, leaf) -> None:
             cand |= 1 << v
         return False
 
-    search(0, 1, _union(masks), {}, (1 << len(masks)) - 1, list(masks))
+    search(0, 1, _union(masks), [], (1 << len(masks)) - 1, list(masks))
 
 
 def _minimal_transversal_masks(
@@ -268,7 +287,8 @@ def _least_part_count(engine: _IntEngine, masks: "list[int]", seed: int) -> tupl
     (count, size, vertex tuple) order.
 
     MMCS carries i(S), the independent-set count of G[S], as
-    i(S + v) = i(S) + i(S - N(v)).  Each vertex added raises i(S) by at least
+    i(S + v) = i(S) + i(S - N(v)), which is 2 i(S), with no count to take,
+    when v has no neighbour in S.  Each vertex added raises i(S) by at least
     one (its own singleton), so every transversal below S counts at least
     i(S), and at least i(S) + 1 while some mask is still unhit.  The best
     starts at ``seed``, the part's lexicographically smallest minimum
@@ -289,7 +309,8 @@ def _least_part_count(engine: _IntEngine, masks: "list[int]", seed: int) -> tupl
     limit = best[0] - 1
 
     def grow(chosen: int, count: int, v: int, uncov: int) -> "int | None":
-        count += engine.eval_mask(chosen & ~engine.adj[v])
+        rest = chosen & ~engine.adj[v]
+        count += count if rest == chosen else engine.eval_mask(rest)
         return None if count + (uncov != 0) > limit else count
 
     def leaf(chosen: int, count: int) -> bool:

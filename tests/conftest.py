@@ -185,7 +185,8 @@ def recursive_chordless_walk(adj, alive, budget):
     canonical vertex list, by recursive path extension from the smallest
     cycle vertex.  The reference for the library's explicit-stack walk: it
     yields the same cycles in the same order and charges ``budget`` once per
-    path extension."""
+    path extension, with none of the walk's pruning, so the walk charges at
+    most as much."""
 
     def extend(path, mask, s):
         budget.spend()
@@ -382,3 +383,40 @@ def berge_minimal_transversals(cycles) -> set[frozenset[int]]:
                  for t in found for v in cycle}
         found = {t for t in grown if not any(o < t for o in grown)}
     return found
+
+
+def milp_min_transversal(masks, n: int) -> tuple[int, tuple[int, ...]]:
+    """(size, witness) of the lexicographically smallest minimum transversal
+    of the vertex ``masks`` on ``n`` vertices, by integer programming.
+
+    One ``scipy.optimize.milp`` (HiGHS) solve gives the least size k.  Then
+    the vertices are fixed in ascending order: v is fixed in when some
+    minimum set still holds it, with every earlier choice kept, and fixed
+    out otherwise, one solve per vertex until k are in.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    if not masks:
+        return 0, ()
+    rows = np.array([[m >> v & 1 for v in range(n)] for m in masks], dtype=float)
+    cover = LinearConstraint(rows, lb=1)
+    cost = np.ones(n)
+    integral = np.ones(n)
+
+    def least(low, high):
+        res = milp(cost, constraints=cover, integrality=integral, bounds=Bounds(low, high))
+        return round(res.fun) if res.success else None
+
+    low, high = np.zeros(n), np.ones(n)
+    k = least(low, high)
+    chosen = []
+    for v in range(n):
+        if len(chosen) == k:
+            break
+        low[v] = 1
+        if least(low, high) == k:
+            chosen.append(v)
+        else:
+            low[v] = high[v] = 0
+    return k, tuple(chosen)

@@ -145,24 +145,24 @@ def _not_evaluated(report) -> set:
 
 
 def test_blown_phi_solve_marks_only_decycling_bound():
-    # Expansions: alternating 11, census 65, phi 89, ternary half 42,
+    # Expansions: alternating 11, census 15, phi 80, ternary half 24,
     # hypothesis 0 (a 4-cycle is chordless, so no chord test runs).
-    report = verify_graph(parse_graph6("JK@CpIWPUZ_"), budget_limit=80)
+    report = verify_graph(parse_graph6("JK@CpIWPUZ_"), budget_limit=79)
     assert _not_evaluated(report) == {"decycling_bound"}
     assert report.checks["chain_upper"].bound == 8
 
 
 def test_blown_ternary_half_marks_only_the_chain():
-    # Expansions: alternating 3, census 6, phi 7, ternary half 10,
+    # Expansions: alternating 3, census 3, phi 6, ternary half 8,
     # hypothesis 1 (one component pass, off the first triangle).
-    report = verify_graph(complete_graph(4), budget_limit=9)
+    report = verify_graph(complete_graph(4), budget_limit=7)
     assert _not_evaluated(report) == {"chain_lower", "chain_upper"}
     assert report.checks["decycling_bound"].bound == 4
 
 
 def test_blown_ternary_half_nulls_only_its_analyze_fields():
-    # Expansions: polynomial 3, census 6, phi 7, ternary half 10.
-    rec = _analyze_worker(1, "C~", complete_graph(4), 9)
+    # Expansions: polynomial 3, census 3, phi 6, ternary half 8.
+    rec = _analyze_worker(1, "C~", complete_graph(4), 7)
     assert rec == {
         "index": 1,
         "graph6": "C~",
@@ -180,7 +180,7 @@ def test_blown_ternary_half_nulls_only_its_analyze_fields():
         "middle_bound": None,
         "middle_witness": None,
         "error": "ternary decycling invariants not evaluated: instance too large: "
-        "expansion budget of 9 exhausted",
+        "expansion budget of 7 exhausted",
     }
 
 
@@ -245,7 +245,7 @@ def test_verify_and_analyze_agree(limit):
 
 def test_twice_subdivided_k7_hypothesis_within_budget():
     # Every cycle has length divisible by 3 and no two branch vertices are
-    # adjacent, so the census (17,158 expansions) decides it and the
+    # adjacent, so the census (14,099 expansions) decides it and the
     # component rule examines no cycle; walking the simple cycles took 26,120.
     report = verify_graph(subdivided_complete(7, 2), budget_limit=20_000)
     check = report.checks["cyclomatic_bound"]
@@ -253,9 +253,9 @@ def test_twice_subdivided_k7_hypothesis_within_budget():
 
 
 def test_blown_census_record():
-    # K4's census takes 6 expansions and the alternating number 3; the
+    # K5's census takes 6 expansions and the alternating number 4; the
     # cycle-length hypothesis reads the census, so it is not evaluated either.
-    rec = report_to_dict(verify_graph(complete_graph(4), budget_limit=5))
+    rec = report_to_dict(verify_graph(complete_graph(5), budget_limit=5))
     blown = {
         "applicable": None,
         "bound": None,
@@ -267,8 +267,8 @@ def test_blown_census_record():
     assert rec == {
         "index": 0,
         "graph6": "",
-        "n": 4,
-        "alternating": -3,
+        "n": 5,
+        "alternating": -4,
         "checks": {
             "ternary_unit_bound": blown,
             "decycling_bound": blown,

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -424,6 +426,45 @@ def test_closed_stdout_exits_1_quietly(tmp_path, argv):
         os.killpg(proc.pid, 0)
     with proc.stderr:
         assert (code, proc.stderr.read()) == (1, b"")
+
+
+def test_jobs_workers_exit_when_the_parent_is_killed(tmp_path):
+    # A parent killed without its cleanup (SIGKILL, an OOM kill) cannot kill
+    # its workers, so each must exit on EPIPE at its next write.  Each
+    # worker's records on every labeled graph with n <= 5 overflow a pipe
+    # buffer: a worker that still held a read end would block on it forever.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(
+        to_graph6(g) + "\n" for n in range(6) for g in enumerate_labeled_graphs(n)
+    ))
+    src = str(Path(altind.__file__).resolve().parents[1])
+    with open(corpus, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altind", "verify", "--jobs", "3"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": src},
+            start_new_session=True,
+        )
+    try:
+        assert proc.stdout.readline()
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a --jobs worker outlived its parent"
+            time.sleep(0.05)
+    finally:
+        proc.stdout.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def test_jobs_above_one_need_fork(capsys, monkeypatch):

@@ -276,7 +276,9 @@ def test_budget_exhaustion_is_an_error():
 
 def _assert_walk_matches_recursion(g, alive):
     """The walk over ``alive`` and its three readers give the recursive
-    walk's cycles, in its order, at its expansion count."""
+    walk's cycles, in its order, for at most its expansion count: the walk
+    skips a path once every cycle it could close would have a chord.
+    Returns the walk's and the recursion's counts over all of ``alive``."""
     adj = g.adj
     expected_budget = Budget()
     expected = list(recursive_chordless_walk(adj, alive, expected_budget))
@@ -284,7 +286,8 @@ def _assert_walk_matches_recursion(g, alive):
     walked = list(_chordless_iter(adj, alive, budget))
     assert walked == [(mask_of(c), len(c)) for c in expected]
     assert [_cycle_order(adj, m) for m, _ in walked] == expected
-    assert budget.used == expected_budget.used
+    assert budget.used <= expected_budget.used
+    spent = budget.used
 
     first_budget = Budget()
     ternary = True
@@ -294,22 +297,22 @@ def _assert_walk_matches_recursion(g, alive):
             break
     budget = Budget()
     assert _is_ternary_mask(adj, alive, budget) is ternary
-    assert budget.used == first_budget.used
+    assert budget.used <= first_budget.used
 
-    if alive != g.all_mask:
-        return
-    budget = Budget()
-    census = cycle_census(g, budget)
-    assert census.masks == tuple(mask_of(c) for c in expected)
-    assert census.ternary == tuple(mask_of(c) for c in expected if len(c) % 3 == 0)
-    assert budget.used == expected_budget.used
+    if alive == g.all_mask:
+        budget = Budget()
+        census = cycle_census(g, budget)
+        assert census.masks == tuple(mask_of(c) for c in expected)
+        assert census.ternary == tuple(mask_of(c) for c in expected if len(c) % 3 == 0)
+        assert budget.used == spent
 
-    hypothesis_budget = Budget()
-    _cycle_length_not_div3(g, census, hypothesis_budget)
-    budget = Budget()
-    report = chordless_cycles(g, budget)
-    assert report.chordless_cycles == tuple(tuple(c) for c in expected)
-    assert budget.used == expected_budget.used + hypothesis_budget.used
+        hypothesis_budget = Budget()
+        _cycle_length_not_div3(g, census, hypothesis_budget)
+        budget = Budget()
+        report = chordless_cycles(g, budget)
+        assert report.chordless_cycles == tuple(tuple(c) for c in expected)
+        assert budget.used == spent + hypothesis_budget.used
+    return spent, expected_budget.used
 
 
 def _random_alive(g, rng):
@@ -340,3 +343,13 @@ def test_walk_matches_recursion_on_subdivided_graphs_and_deletions():
             _assert_walk_matches_recursion(h, h.all_mask)
             if h.n:
                 _assert_walk_matches_recursion(h, _random_alive(h, rng))
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_walk_prunes_the_twice_subdivided_complete_graphs(m):
+    # Enumerating from stems cost 2.3x and 2.8x the recursion's expansions
+    # on this family, so the walk must charge less than the recursion here:
+    # 14,099 and 111,955 expansions against 17,158 and 131,508.
+    g = subdivided_complete(m, 2)
+    spent, reference = _assert_walk_matches_recursion(g, g.all_mask)
+    assert spent < reference

@@ -7,6 +7,7 @@ from altind import (
     Budget,
     BudgetExceededError,
     Graph,
+    alternating_number,
     attach_pendant_path,
     chordless_cycles,
     complete_graph,
@@ -41,7 +42,9 @@ from conftest import (
     graphs,
     include_first_min_transversal,
     induced,
+    milp_min_transversal,
     random_graph,
+    random_k_tree,
     random_subdivided,
     relabeled,
     slow_middle_bound,
@@ -201,12 +204,60 @@ def test_two_phase_search_matches_the_include_first_search():
             assert _min_transversal(masks, Budget(10**9)) == expected, to_graph6(g)
 
 
-@pytest.mark.parametrize("n, phi, expansions", [(4, 2, 7), (5, 3, 19), (6, 4, 33)])
+def test_phi_and_phi3_match_integer_programming():
+    # An integer program with self-reduction is independent of both the
+    # search and its carried witness, at sizes the subset oracles cannot
+    # reach.
+    pytest.importorskip("scipy")
+    rng = random.Random(3)
+    family = [random_graph(rng, 30, 0.15) for _ in range(2)]
+    family += [random_k_tree(rng, 2, 30), random_k_tree(rng, 3, 30)]
+    for g in family:
+        census = cycle_census(g)
+        assert min_decycling(g) == milp_min_transversal(census.masks, g.n), to_graph6(g)
+        assert min_ternary_decycling(g) == milp_min_transversal(census.ternary, g.n), to_graph6(g)
+
+
+def test_disjoint_unions_add_and_multiply():
+    # On G + H, with H's labels above G's, a minimum or middle-bound set is
+    # one per side, and every vertex of G comes before every vertex of H: phi
+    # and phi3 add, I(G;-1) and the middle bound multiply, and each witness
+    # is the union of the sides' witnesses.  The middle search then splits
+    # into parts at sizes the brute-force oracles cannot reach.
+    rng = random.Random(4)
+    for (n1, p1), (n2, p2) in (((20, 0.2), (24, 0.15)), ((30, 0.12), (22, 0.18)),
+                               ((26, 0.15), (28, 0.13)), ((25, 0.18), (20, 0.22))):
+        g, h = random_graph(rng, n1, p1), random_graph(rng, n2, p2)
+        union = disjoint_union(g, h)
+        sides = decycling_summary(g), decycling_summary(h)
+        res = decycling_summary(union)
+
+        def united(field):
+            return getattr(sides[0], field) + tuple(v + g.n for v in getattr(sides[1], field))
+
+        assert res.phi == sides[0].phi + sides[1].phi
+        assert res.phi_witness == united("phi_witness")
+        assert res.phi3 == sides[0].phi3 + sides[1].phi3
+        assert res.phi3_witness == united("phi3_witness")
+        assert res.middle_bound == sides[0].middle_bound * sides[1].middle_bound
+        assert res.middle_witness == united("middle_witness")
+        alternating = alternating_number(union)
+        assert alternating == alternating_number(g) * alternating_number(h)
+
+        copy = relabeled(union, rng)
+        moved = decycling_summary(copy)
+        assert (moved.phi, moved.phi3, moved.nu, moved.middle_bound) == (
+            res.phi, res.phi3, res.nu, res.middle_bound
+        )
+        assert alternating_number(copy) == alternating
+
+
+@pytest.mark.parametrize("n, phi, expansions", [(4, 2, 6), (5, 3, 16), (6, 4, 27)])
 def test_complete_graph_phi_expansions(n, phi, expansions):
     # The packing bound is 1, 1 and 2 here, so the size search fails at 1,
-    # 2 and 2 depths before it fits; the witness walk then spends one
-    # feasibility test per vertex it decides, and the test of an empty mask
-    # list, which holds trivially, is free.
+    # 2 and 2 depths before it fits.  The set that fits is {0, ..., phi - 1},
+    # which holds every vertex the witness walk decides, so that walk
+    # includes each with no search and spends nothing.
     g = complete_graph(n)
     budget = Budget(10**6)
     assert _min_transversal(cycle_census(g, Budget(10**6)).masks, budget) == (
@@ -265,12 +316,13 @@ def test_pruned_middle_search_matches_full_enumeration(name):
 
 def test_a_clique_seed_ends_the_middle_search():
     # K4's phi3 witness {0, 1} counts 3 = |S| + 1, the least any minimal
-    # transversal can count, so no MMCS node is charged: 10 expansions for
-    # the phi3 search, its re-check and the two counts of the witness.
+    # transversal can count, so no MMCS node is charged: 8 expansions, 6 for
+    # the phi3 search and 2 for the two counts of the witness.  The re-check
+    # walks the edge {2, 3}, whose start has no closer, for free.
     g = complete_graph(4)
     budget = Budget(10**6)
     assert _ternary_half(g, cycle_census(g, Budget(10**6)), budget) == (0b11, 3, 0b11)
-    assert budget.used == 10
+    assert budget.used == 8
 
 
 def test_doubler_chain_middle_search_is_linear():
