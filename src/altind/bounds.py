@@ -12,16 +12,17 @@ For each input graph the verifier evaluates, with exact integers:
 
 The chordless cycles are enumerated once per graph, into a census the
 solvers and the cycle-length hypothesis share.  ``verify`` and ``analyze``
-run the same four stages, and verify one more, each under its own fresh
-budget of ``budget_limit`` expansions; one that exhausts it marks only the
-checks that read it "not evaluated" and nulls only the analyze fields it
-computes (``error`` names the first such stage, in analyze's order):
+run the same four stages in this order, and verify one more, each under its
+own fresh budget of ``budget_limit`` expansions.  A stage that exhausts it
+marks only the checks that read it "not evaluated" and nulls only the
+analyze fields it computes (``error`` names the first such stage):
 
   * cycle census:             every check; ternary and the halves' fields,
-  * alternating number:       every check but chain_upper; alternating and
-                              independent_sets (one independence-polynomial
-                              pass: I(G;-1) is the alternating sum of its
-                              coefficients and I(G;1) their plain sum),
+  * alternating number:       every applicable check but chain_upper;
+                              alternating and independent_sets (one
+                              independence-polynomial pass: I(G;-1) is the
+                              alternating sum of its coefficients and I(G;1)
+                              their plain sum),
   * phi solve:                decycling_bound; phi and its witness,
   * ternary half:             chain_lower and chain_upper; phi3,
                               middle_bound and their witnesses (phi3, then
@@ -31,13 +32,17 @@ computes (``error`` names the first such stage, in analyze's order):
                               census cycle that could carry a chord; see
                               ``cycles``).
 
-Hypothesis failure marks a check not applicable, never unsatisfied; a budget
-failure downgrades it to "not evaluated" with the reason recorded.  A
-satisfied=False anywhere signals either an implementation bug or a
-counterexample to a proved statement, and is surfaced loudly by the callers.
-So is an ``AssertionError`` from a witness re-check or an engine cross-check:
-over a corpus it becomes an :class:`InternalError` in place of that graph's
-record, and the other graphs still run.
+Each stage gives a ``(value, reason)`` pair, ``(None, reason)`` when blown;
+the halves and the hypothesis read the census, so a blown census's pair is
+theirs.  Every check follows one rule: a blown stage makes it not evaluated
+with that stage's reason; a failed hypothesis, not applicable (never
+unsatisfied); a blown alternating number, not evaluated with its reason;
+otherwise it records the bound, satisfied and slack.  A satisfied=False
+anywhere signals either an implementation bug or a counterexample to a
+proved statement, and is surfaced loudly by the callers.  So is an
+``AssertionError`` from a witness re-check or an engine cross-check: over a
+corpus it becomes an :class:`InternalError` in place of that graph's record,
+and the other graphs still run.
 
 Every corpus run (``run_corpus``, and ``verify``, ``analyze`` and ``oracle``
 in the CLI) takes one path: the whole input is parsed first, then each
@@ -102,10 +107,6 @@ class InternalError(NamedTuple):
     internal_error: str
 
 
-def _not_evaluated(reason: str) -> CheckResult:
-    return CheckResult(applicable=None, error=reason)
-
-
 def _attempt(limit: int, stage: str, fn, *args):
     """``(fn(*args, budget), None)`` under a fresh budget of ``limit``
     expansions, or ``(None, reason)`` when the stage exhausts it."""
@@ -115,18 +116,33 @@ def _attempt(limit: int, stage: str, fn, *args):
         return None, f"{stage} not evaluated: {exc}"
 
 
+def _after_census(limit: int, stage: str, fn, g: Graph, census: tuple):
+    """:func:`_attempt` of ``fn(g, census value)``, or a blown census's own
+    ``(None, reason)``."""
+    return census if census[1] else _attempt(limit, stage, fn, g, census[0])
+
+
 def _stages(g: Graph, limit: int) -> tuple:
-    """The ``(value, reason)`` pairs of the stages verify and analyze share:
-    the independence polynomial (the alternating-number stage), the census,
-    the phi half and the ternary half, each under its own budget.  A blown
-    census is both halves' reason."""
-    poly = _attempt(limit, "alternating number", independence_polynomial, g)
+    """The ``(value, reason)`` pairs of the stages verify and analyze share,
+    in analyze's order: the census, the independence polynomial (the
+    alternating-number stage), the phi half and the ternary half."""
     census = _attempt(limit, "cycle census", cycle_census, g)
-    if census[1]:
-        return poly, census, census, census
-    phi = _attempt(limit, "decycling number", _phi_half, g, census[0])
-    ternary = _attempt(limit, "ternary decycling invariants", _ternary_half, g, census[0])
-    return poly, census, phi, ternary
+    poly = _attempt(limit, "alternating number", independence_polynomial, g)
+    phi = _after_census(limit, "decycling number", _phi_half, g, census)
+    ternary = _after_census(limit, "ternary decycling invariants", _ternary_half, g, census)
+    return census, poly, phi, ternary
+
+
+def _check(reason, bound, value, value_reason) -> CheckResult:
+    """The module docstring's check rule: ``reason`` is the stage's, and
+    ``value_reason`` explains a ``value`` of None."""
+    if reason:
+        return CheckResult(None, error=reason)
+    if bound is None:
+        return CheckResult(False)
+    if value is None:
+        return CheckResult(None, error=value_reason)
+    return CheckResult(True, bound, value <= bound, bound - value)
 
 
 def verify_graph(
@@ -138,62 +154,27 @@ def verify_graph(
     """Evaluate every bound in scope on one graph, each stage under its own
     budget of ``budget_limit`` expansions (see the module docstring)."""
     limit = budget_limit if budget_limit is not None else DEFAULT_EXPANSIONS
-    ((coeffs, alt_error), (census, census_error),
-     (phi_half, phi_error), (ternary_half, ternary_error)) = _stages(g, limit)
+    census, (coeffs, alt_error), phi, ternary = _stages(g, limit)
+    not_div3 = _after_census(limit, "cycle-length hypothesis", _cycle_length_not_div3, g, census)
     alternating = None if coeffs is None else _value_at(coeffs, -1)
     magnitude = None if alternating is None else abs(alternating)
-    not_div3, not_div3_error = None, census_error
-    if census_error is None:
-        not_div3, not_div3_error = _attempt(
-            limit, "cycle-length hypothesis", _cycle_length_not_div3, g, census
-        )
-
-    def bounded(applicable: bool, bound: int, value: "int | None") -> CheckResult:
-        if not applicable:
-            return CheckResult(applicable=False)
-        if value is None:
-            return _not_evaluated(alt_error)
-        return CheckResult(
-            applicable=True,
-            bound=bound,
-            satisfied=value <= bound,
-            slack=bound - value,
-        )
-
-    checks: dict[str, CheckResult] = {}
-    if census_error:
-        checks["ternary_unit_bound"] = _not_evaluated(census_error)
-    else:
-        checks["ternary_unit_bound"] = bounded(not census.ternary, 1, magnitude)
-
-    if phi_error:
-        checks["decycling_bound"] = _not_evaluated(phi_error)
-    else:
-        checks["decycling_bound"] = bounded(True, 1 << phi_half[0], magnitude)
-
-    if not_div3_error:
-        checks["cyclomatic_bound"] = _not_evaluated(not_div3_error)
-    else:
-        nu = cyclomatic_number(g) if not_div3 else 0
-        checks["cyclomatic_bound"] = bounded(not_div3, (1 << nu) - nu, magnitude)
-
-    if ternary_error:
-        checks["chain_lower"] = _not_evaluated(ternary_error)
-        checks["chain_upper"] = _not_evaluated(ternary_error)
-    else:
-        phi3_mask, middle, _ = ternary_half
-        checks["chain_lower"] = bounded(True, middle, magnitude)
+    # A blown stage's bound is never read, so these stand in for its value.
+    phi_size = phi[0][0] if phi[0] else 0
+    phi3_mask, middle, _ = ternary[0] or (0, 0, 0)
+    nu = cyclomatic_number(g) if not_div3[0] else 0
+    rows = (
+        (census, None if census[1] or census[0].ternary else 1, magnitude),
+        (phi, 1 << phi_size, magnitude),
+        (not_div3, (1 << nu) - nu if not_div3[0] else None, magnitude),
+        (ternary, middle, magnitude),
         # The upper link bounds the middle quantity itself, not |I|.
-        checks["chain_upper"] = bounded(True, 1 << phi3_mask.bit_count(), middle)
-
-    return BoundsReport(
-        index=index,
-        graph6=graph6_text,
-        n=g.n,
-        alternating=alternating,
-        checks=checks,
-        error=alt_error,
+        (ternary, 1 << phi3_mask.bit_count(), middle),
     )
+    checks = {
+        name: _check(stage[1], bound, value, alt_error)
+        for name, (stage, bound, value) in zip(CHECK_NAMES, rows)
+    }
+    return BoundsReport(index, graph6_text, g.n, alternating, checks, alt_error)
 
 
 def report_to_dict(report: BoundsReport) -> dict:
@@ -205,16 +186,7 @@ def report_to_dict(report: BoundsReport) -> dict:
     }
     if report.error:
         out["error"] = report.error
-    out["checks"] = {
-        name: {
-            "applicable": c.applicable,
-            "bound": c.bound,
-            "satisfied": c.satisfied,
-            "slack": c.slack,
-            "error": c.error,
-        }
-        for name, c in report.checks.items()
-    }
+    out["checks"] = {name: c._asdict() for name, c in report.checks.items()}
     return out
 
 
@@ -403,23 +375,23 @@ def _analyze_worker(index: int, text: str, graph: Graph, limit: int) -> dict:
     ``alternating`` and ``independent_sets`` both read the polynomial.  A
     field is null only when its own stage ran out; ``error`` is the first
     such stage's reason."""
-    poly, census, phi, ternary = _stages(graph, limit)
-    coeffs = poly[0]
+    stages = _stages(graph, limit)
+    (census, _), (coeffs, _), (phi, _), (ternary, _) = stages
     e, q = graph.edge_count(), graph.component_count()
     record = dict.fromkeys(_ANALYZE_FIELDS)
     record.update(
         index=index, graph6=text, n=graph.n, e=e, q=q, nu=e - graph.n + q,
         alternating=None if coeffs is None else _value_at(coeffs, -1),
         independent_sets=None if coeffs is None else _value_at(coeffs, 1),
-        error=next((why for _, why in (census, poly, phi, ternary) if why), None),
+        error=next((why for _, why in stages if why), None),
     )
-    if census[0] is not None:
-        record["ternary"] = not census[0].ternary
-    if phi[0] is not None:
-        size, mask = phi[0]
+    if census is not None:
+        record["ternary"] = not census.ternary
+    if phi is not None:
+        size, mask = phi
         record.update(phi=size, phi_witness=list(bits(mask)))
-    if ternary[0] is not None:
-        phi3_mask, middle, middle_mask = ternary[0]
+    if ternary is not None:
+        phi3_mask, middle, middle_mask = ternary
         record.update(phi3=phi3_mask.bit_count(), phi3_witness=list(bits(phi3_mask)),
                       middle_bound=middle, middle_witness=list(bits(middle_mask)))
     return record

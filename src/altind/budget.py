@@ -22,8 +22,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"instance too large: expansion budget of {self.limit} exhausted"

@@ -55,9 +55,12 @@ def _read_lines(path: str) -> list[str]:
     """Lines of a file, or of stdin for ``-``, decoded the same way for both.
 
     Bytes outside ASCII survive as lone surrogates, so the graph6 parser
-    reports them against their line instead of the read failing.
+    reports them against their line instead of the read failing.  A closed
+    stdin (``sys.stdin`` is None) is an unreadable file.
     """
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:

@@ -389,10 +389,9 @@ def _ternary_half(g: Graph, census: CycleCensus, budget: Budget) -> tuple[int, i
     """The phi3 witness mask, the middle bound and the middle witness mask.
 
     The middle bound is searched from the phi3 witness, which is minimum,
-    hence minimal, hence one of the candidates.
+    hence minimal, hence one of the candidates.  With no ternary cycle that
+    is ``(0, 1, 0)``, at no expansion.
     """
-    if not census.ternary:
-        return 0, 1, 0
     phi3_mask = _min_ternary_mask(g, census.ternary, budget)
     mid, mid_mask = _least_minimal_count(g, census.ternary, phi3_mask, budget)
     return phi3_mask, mid, mid_mask

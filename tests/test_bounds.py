@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
+import altind.bounds
 import altind.cycles
 from altind import (
     CHECK_NAMES,
+    BudgetExceededError,
     DEFAULT_EXPANSIONS,
     complete_graph,
     cycle_graph,
@@ -19,7 +21,7 @@ from altind import (
     to_graph6,
     verify_graph,
 )
-from altind.bounds import report_to_dict
+from altind.bounds import CheckResult, report_to_dict
 from altind.cli import _analyze_worker
 
 from conftest import random_graph, subdivided_complete
@@ -277,6 +279,72 @@ def test_blown_census_record():
             "chain_upper": blown,
         },
     }
+
+
+_HALF_FIELDS = {"phi", "phi_witness", "phi3", "phi3_witness", "middle_bound", "middle_witness"}
+# The bounds.py docstring's table: each stage's reason prefix, the function
+# bounds calls for it, the checks it marks not evaluated and the analyze
+# fields it nulls.
+_STAGE_TABLE = {
+    "cycle census": ("cycle_census", set(CHECK_NAMES), {"ternary"} | _HALF_FIELDS),
+    "alternating number": (
+        "independence_polynomial",
+        set(CHECK_NAMES) - {"chain_upper"},
+        {"alternating", "independent_sets"},
+    ),
+    "decycling number": ("_phi_half", {"decycling_bound"}, {"phi", "phi_witness"}),
+    "ternary decycling invariants": (
+        "_ternary_half",
+        {"chain_lower", "chain_upper"},
+        _HALF_FIELDS - {"phi", "phi_witness"},
+    ),
+    "cycle-length hypothesis": ("_cycle_length_not_div3", {"cyclomatic_bound"}, set()),
+}
+
+
+def _blow(monkeypatch, name):
+    def blown(*args):
+        raise BudgetExceededError("instance too large: expansion budget of 1 exhausted")
+
+    monkeypatch.setattr(altind.bounds, name, blown)
+
+
+@pytest.mark.parametrize("stage", list(_STAGE_TABLE))
+@pytest.mark.parametrize("text", ["C~", "EhEG", "Cl"])
+def test_a_blown_stage_marks_exactly_its_table_row(monkeypatch, text, stage):
+    # K4, C6 and the ternary C4; no budget is pinned, the stage's function
+    # raises.
+    g = parse_graph6(text)
+    clean_checks = verify_graph(g).checks
+    clean_record = _analyze_worker(0, text, g, DEFAULT_EXPANSIONS)
+    name, checks, fields = _STAGE_TABLE[stage]
+    _blow(monkeypatch, name)
+    reason = f"{stage} not evaluated: instance too large: expansion budget of 1 exhausted"
+
+    blows_alt = stage == "alternating number"
+    report = verify_graph(g)
+    for check in CHECK_NAMES:
+        # A check whose hypothesis fails reads no alternating number.
+        marked = check in checks and not (blows_alt and clean_checks[check].applicable is False)
+        expected = CheckResult(applicable=None, error=reason) if marked else clean_checks[check]
+        assert report.checks[check] == expected, check
+    assert report.alternating == (None if blows_alt else clean_record["alternating"])
+    assert report.error == (reason if blows_alt else None)
+
+    record = _analyze_worker(0, text, g, DEFAULT_EXPANSIONS)
+    assert record == {
+        **clean_record,
+        **dict.fromkeys(fields),
+        "error": reason if stage != "cycle-length hypothesis" else None,
+    }
+
+
+def test_a_blown_census_is_named_before_a_blown_polynomial(monkeypatch):
+    _blow(monkeypatch, "cycle_census")
+    _blow(monkeypatch, "independence_polynomial")
+    record = _analyze_worker(0, "C~", complete_graph(4), DEFAULT_EXPANSIONS)
+    assert record["error"].startswith("cycle census not evaluated: ")
+    assert record["alternating"] is record["phi"] is None
 
 
 # The first three have nonempty ternary decycling witnesses, whose re-check

@@ -89,6 +89,16 @@ def test_verify_malformed_line_exit_2(capsys, monkeypatch):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "oracle"])
+def test_closed_stdin_is_an_unreadable_input(capsys, monkeypatch, command):
+    # A process started with fd 0 closed (``altind verify <&-``) has no
+    # sys.stdin at all.
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli(capsys, [command])
+    assert (code, out) == (2, "")
+    assert err == "cannot read -: stdin is closed\n"
+
+
 def test_verify_strict_budget_exit_3(capsys, monkeypatch):
     code, _, _ = run_cli(
         capsys,
@@ -618,3 +628,48 @@ def test_internal_error_is_one_record(capsys, tmp_path, monkeypatch, command, jo
         "internal error: decycling witness failed the acyclicity re-check"
     }
     assert (rows[1]["index"], rows[1]["graph6"], rows[1]["n"]) == ("2", "C~", "4")
+
+
+# sha256 of the exit code, stdout and stderr of each run on _pinned_corpus,
+# the same at --jobs 1 and 2.  Any change to what verify or analyze print
+# moves these, and must re-pin them on purpose.
+_PINNED_OUTPUT = {
+    ("verify", "json", "default"): "205ec34a007c2e74c3edb3ecceb0631d90d46e19e1f42e31bfa41caf221a8642",
+    ("verify", "json", "budget20"): "c9ee3340c061f18b89733f4fea156fd71563ed4627433db9d0d03c6c6d27333f",
+    ("verify", "csv", "default"): "cba61681587d54d9fdee1569c799c3bce97f1b38d93c8159c9745a7c31137735",
+    ("verify", "csv", "budget20"): "6a384bc3dd28b5a66c9ab90f485dd9db79d2292e87b9092be31916a241a36aeb",
+    ("analyze", "json", "default"): "b558132073b35d223c7fe3f5426c2c25df9c7279487c7cbd8b987fec25b6b1f3",
+    ("analyze", "json", "budget20"): "b429181e8b1e2e1fcd5112af6b21388a84b2f2c742bba5a366308f16bab6d9f8",
+    ("analyze", "csv", "default"): "40924b79c4e0d9e0999078f45feaad92ea229c7ca4fcc1b25cbc1270491d0ec9",
+    ("analyze", "csv", "budget20"): "a3716b0b78a14c09cd7973827e9d187d1d191d38dfbb186afde305dcb57ff929",
+}
+_PINNED_BUDGETS = {"default": [], "budget20": ["--budget-expansions", "20", "--strict"]}
+
+
+def _pinned_corpus() -> str:
+    """Every labeled graph on at most 4 vertices, K4 and K5 each subdivided
+    once, doubler_chain(3) and one malformed line."""
+    from altind import doubler_chain
+    from conftest import subdivided_complete
+
+    graphs = [g for n in range(5) for g in enumerate_labeled_graphs(n)]
+    graphs += [subdivided_complete(4, 1), subdivided_complete(5, 1), doubler_chain(3)[0]]
+    lines = [to_graph6(g) for g in graphs]
+    lines.insert(40, "not graph6!")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("budget", list(_PINNED_BUDGETS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_pinned_output(capsys, tmp_path, command, fmt, jobs, budget):
+    import hashlib
+
+    corpus = tmp_path / "pinned.g6"
+    corpus.write_text(_pinned_corpus())
+    argv = [command, "--input", str(corpus), "--format", fmt, "--jobs", jobs,
+            *_PINNED_BUDGETS[budget]]
+    code, out, err = run_cli(capsys, argv)
+    run = f"{code}\n{out}\0{err}".encode("ascii")
+    assert hashlib.sha256(run).hexdigest() == _PINNED_OUTPUT[command, fmt, budget]

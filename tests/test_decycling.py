@@ -406,3 +406,12 @@ def test_middle_bound_matches_verified_count():
     value, witness = middle_bound(g)
     assert value == independent_set_count(induced(g, witness))
     assert is_ternary(without(g, witness))
+
+
+def test_ternary_half_without_a_ternary_cycle_spends_nothing():
+    g = cycle_graph(4)
+    census = cycle_census(g, Budget())
+    assert census.masks and not census.ternary
+    budget = Budget(1)
+    assert _ternary_half(g, census, budget) == (0, 1, 0)
+    assert budget.used == 0
